@@ -344,14 +344,14 @@ def _frfcfs():
     "controller.next_event",
     params={"queue_depth": 32},
     smoke=True,
-    description="fused (pick, wake) recompute over a 32-deep queue "
-                "(the event heap's per-reschedule cost)",
+    description="(pick, wake) query over a 32-deep queue at successive "
+                "cycles (the event heap's per-reschedule cost)",
 )
 def _next_event():
     controller, requests = _queued_controller()
-    # Advance ``now`` every call: the fused pass is memoised per
-    # (state version, cycle), so a fresh cycle measures the full
-    # recompute, which is what each controller reschedule pays.
+    # Advance ``now`` every call: the query is memoised per (state
+    # version, cycle), so each call at a fresh cycle with the state
+    # unchanged measures the ready-time index's later-cycle answer.
     clock = [200]
 
     def query():

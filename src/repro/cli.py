@@ -406,20 +406,15 @@ def cmd_trace(args) -> int:
         dump_transactions_csv,
         dump_transactions_jsonl,
     )
-    from .coding.pipeline import precompute_line_zeros
-    from .coding.registry import real_schemes
-    from .core.framework import make_policy_factory
+    from .core.framework import LazyZeroTables, make_policy_factory
     from .system.simulator import simulate
     from .workloads.benchmarks import build_trace
 
     config = _system(args.system)
     trace = build_trace(args.benchmark.upper(), config,
                         accesses_per_core=args.scale)
-    zeros = precompute_line_zeros(
-        trace.line_data, real_schemes(), digest=trace.line_digest
-    )
     result = simulate(trace, config,
-                      make_policy_factory(args.policy, zeros))
+                      make_policy_factory(args.policy, LazyZeroTables(trace)))
     # Each channel has its own data bus, so each gets its own dump and
     # its own audit (a merged file would interleave unrelated buses).
     stem, dot, suffix = args.output.rpartition(".")

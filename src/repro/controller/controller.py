@@ -26,16 +26,17 @@ from ..dram.channel import DRAMChannel
 from ..dram.commands import CommandType, Geometry
 from ..dram.refresh import RefreshScheduler
 from ..dram.timing import TimingParams
-from .frfcfs import CandidateCommand, FRFCFSScheduler
+from .frfcfs import FRFCFSScheduler
 from .queues import TransactionQueue
+from .readyindex import ReadyIndex
 from .request import MemoryRequest
 from .writedrain import WriteDrainPolicy
 
 __all__ = ["AlwaysScheme", "ChannelController", "NO_EVENT_CACHE_ENV"]
 
-# Kill switch for the scheduling-loop memoisation (candidate list and
-# wake-time caches).  The caches are invalidated on every state change
-# (enqueue, issue, drain flip), so disabling them must never alter a
+# Kill switch for the scheduling-loop caches (the ready-time index and
+# the wake-time cache).  Both follow every state change (enqueue,
+# issue, refresh, drain flip), so disabling them must never alter a
 # single issued command — tests/controller/test_event_cache.py holds
 # the two modes to byte-identical, auditor-clean command logs.
 NO_EVENT_CACHE_ENV = "REPRO_NO_EVENT_CACHE"
@@ -113,34 +114,19 @@ class ChannelController:
         self.forwarded_reads = 0
         self.coalesced_writes = 0
 
-        # Candidate cache: the FR-FCFS candidate list only changes when
-        # device or queue state does, so it is memoised against a state
-        # version counter (the dominant cost of the scheduling loop).
-        # On top of the whole-list memo, candidates are derived
-        # *incrementally*: each bank contributes exactly one candidate
-        # (oldest row hit, else ACT for the bucket head, else PRE), and
-        # that per-bank derivation is memoised against the queue's
-        # bucket version and the bank's open row, so an enqueue or
-        # issue only re-derives the banks it touched.
+        # Ready-time index: one candidate per bank and direction,
+        # re-derived only for banks marked dirty by an enqueue, an issue
+        # or a refresh (see repro.controller.readyindex).  Every state
+        # change also bumps ``_state_version``; a query at an unchanged
+        # version is answered from the index's stored ready times.
         # REPRO_NO_EVENT_CACHE=1 recomputes everything every call via
         # the full-scan FRFCFSScheduler.candidates oracle, for A/B-ing
-        # the caches against the protocol auditor.
+        # the index against the protocol auditor.
         self._cache_enabled = _event_cache_enabled()
         self._state_version = 0
-        self._cand_version = -1
-        self._cand_cache: list = []
-        # Per-bank candidate memos, one per queue direction, keyed by
-        # the bucket key (rank, group, bank) ->
-        # (bucket_version, open_row, kind, request) where kind is
-        # 0=column hit, 1=ACTIVATE, 2=PRECHARGE.
-        self._bank_memo_rd: dict = {}
-        self._bank_memo_wr: dict = {}
-        self.cand_bank_hits = 0
-        self.cand_bank_misses = 0
-        # Fused schedule query memo: (pick, wake) for one (state
-        # version, cycle) pair — the hot path computes both in a single
-        # pass over the bank buckets without materialising a candidate
-        # list (see _schedule_query).
+        self._ready_index = ReadyIndex(self.channel)
+        # (pick, wake) of the last query and the (state version, cycle)
+        # it answered.
         self._sched_version = -1
         self._sched_now = -1
         self._sched_pick = None
@@ -209,9 +195,13 @@ class ChannelController:
         self._state_version += 1
         if self._probe is not None:
             self._probe.enqueue(len(self.read_queue), len(self.write_queue))
+        m = request.mapped
+        key = (m.rank, m.bank_group, m.bank)
         if request.is_write:
             took_slot = self.write_queue.push(request, coalesce=True)
-            if not took_slot:
+            if took_slot:
+                self._ready_index.mark(True, key)
+            else:
                 self.coalesced_writes += 1
             return
         hit = self.write_queue.find(request.address)
@@ -223,6 +213,7 @@ class ChannelController:
             self.completed.append(request)
             return
         self.read_queue.push(request)
+        self._ready_index.mark(False, key)
 
     def drain_completions(self) -> list[MemoryRequest]:
         """Hand completed requests to the caller and clear the list."""
@@ -254,26 +245,26 @@ class ChannelController:
         """
         count = 0
         horizon = now + window
-        open_row_of = self.channel.open_row
-        earliest_issue = self.channel.earliest_issue
+        banks = self.channel.banks
         queues = (
             (self.read_queue, self.write_queue)
             if self.draining_now
             else (self.read_queue,)
         )
         for queue in queues:
-            cmd = (
-                CommandType.WRITE
-                if queue is self.write_queue
-                else CommandType.READ
+            is_write_q = queue is self.write_queue
+            shared = self.channel.shared_issue_bounds(
+                CommandType.WRITE if is_write_q else CommandType.READ
             )
             for key, bucket in queue.bank_buckets().items():
                 rank, group, bank = key
-                open_row = open_row_of(rank, group, bank)
+                bstate = banks[rank][group][bank]
+                open_row = bstate.open_row
                 if open_row is None:
                     continue
-                # All hits in one bank share the same command timing,
-                # so the bank is probed once, lazily on the first hit.
+                # All hits in one bank share the same command timing:
+                # max(bank register, shared bound), read lazily on the
+                # first hit (the earliest_issue split).
                 ready = None
                 for req in bucket:
                     if req.mapped.row != open_row:
@@ -285,10 +276,8 @@ class ChannelController:
                     if reads_only and req.is_write:
                         continue
                     if ready is None:
-                        ready = (
-                            earliest_issue(cmd, rank, group, bank, now)
-                            <= horizon
-                        )
+                        own = bstate.next_wr if is_write_q else bstate.next_rd
+                        ready = max(now, own, shared[rank][group]) <= horizon
                     if ready:
                         count += 1
         return count
@@ -385,213 +374,48 @@ class ChannelController:
         queue = self.write_queue if self.draining_now else self.read_queue
         return queue.oldest_first()
 
-    def _derive_bank_candidate(self, bucket: list, open_row):
-        """(kind, request) for one bank's queued requests.
-
-        kind 0: column command for the oldest request hitting the open
-        row (oldest by the FR-FCFS (arrival, serial) key).  kind 1:
-        ACTIVATE on behalf of the bucket head (bank closed).  kind 2:
-        PRECHARGE — the open row is wanted by nobody in the bucket.
-        """
-        if open_row is None:
-            return 1, bucket[0]
-        best = None
-        for req in bucket:
-            if req.mapped.row == open_row and (
-                best is None
-                or (req.arrival, req.serial) < (best.arrival, best.serial)
-            ):
-                best = req
-        if best is not None:
-            return 0, best
-        return 2, None
-
-    def _assemble_candidates(self, now: int) -> list:
-        """Incremental equivalent of ``FRFCFSScheduler.candidates``.
-
-        Each bank contributes exactly one candidate; per-bank (kind,
-        request) derivations are memoised against the queue bucket
-        version and the bank's open row, so only banks touched since
-        the last assembly are re-derived.  Assembly order reproduces
-        the full scan: hit/ACT candidates by bucket-head queue
-        position, all PREs after them in the same order — the only
-        orderings ``pick``'s ready[0] tie-break can observe.
-        """
-        queue = self.write_queue if self.draining_now else self.read_queue
-        buckets = queue.bank_buckets()
-        if not buckets:
-            return []
-        channel = self.channel
-        open_row_of = channel.open_row
-        earliest_issue = channel.earliest_issue
-        is_write_q = queue is self.write_queue
-        memo = self._bank_memo_wr if is_write_q else self._bank_memo_rd
-        versions = queue.bank_versions()
-        read_cmd, write_cmd = CommandType.READ, CommandType.WRITE
-        act_cmd, pre_cmd = CommandType.ACTIVATE, CommandType.PRECHARGE
-        main: list = []
-        pres: list = []
-        for key in sorted(buckets, key=lambda k: buckets[k][0].queue_seq):
-            bucket = buckets[key]
-            rank, group, bank = key
-            open_row = open_row_of(rank, group, bank)
-            ver = versions[key]
-            cached = memo.get(key)
-            if cached is not None and cached[0] == ver and cached[1] == open_row:
-                kind, req = cached[2], cached[3]
-                self.cand_bank_hits += 1
-            else:
-                kind, req = self._derive_bank_candidate(bucket, open_row)
-                memo[key] = (ver, open_row, kind, req)
-                self.cand_bank_misses += 1
-            if kind == 0:
-                cmd = write_cmd if req.is_write else read_cmd
-                main.append(CandidateCommand(
-                    cmd, rank, group, bank, open_row,
-                    earliest_issue(cmd, rank, group, bank, now, 4), req,
-                ))
-            elif kind == 1:
-                main.append(CandidateCommand(
-                    act_cmd, rank, group, bank, req.mapped.row,
-                    earliest_issue(act_cmd, rank, group, bank, now), req,
-                ))
-            else:
-                pres.append(CandidateCommand(
-                    pre_cmd, rank, group, bank, open_row,
-                    earliest_issue(pre_cmd, rank, group, bank, now), None,
-                ))
-        if pres:
-            main.extend(pres)
-        return main
-
     def _candidates(self, now: int) -> list:
-        """Memoised FR-FCFS candidate list (see ``_state_version``)."""
-        if not self._cache_enabled:
-            return self.scheduler.candidates(self._active_entries(now), now)
-        if self._cand_version != self._state_version:
-            self._sync_drain(now)
-            self._cand_cache = self._assemble_candidates(now)
-            self._cand_version = self._state_version
-        return self._cand_cache
+        """Full-scan FR-FCFS candidate list (the oracle path)."""
+        return self.scheduler.candidates(self._active_entries(now), now)
 
     def _schedule_query(self, now: int):
-        """Fused ``(pick, wake)`` for cycle ``now`` in one bucket pass.
+        """``(pick, wake)`` for cycle ``now`` from the ready-time index.
 
         Equivalent to ``scheduler.pick(self._candidates(now), now)``
-        plus ``scheduler.next_wakeup(...)`` but without building the
-        list: the pass tracks the oldest ready column (FR-FCFS
-        (arrival, serial) order), the first-generated ready ACTIVATE,
-        the first-generated ready PRECHARGE, and the minimum earliest
-        over all per-bank candidates.  Memoised per (state version,
-        cycle) so ``step`` and ``next_event`` at the same cycle share
-        one pass.
+        plus ``scheduler.next_wakeup(...)``.  Memoised per (state
+        version, cycle), so ``step`` and ``next_event`` at the same
+        cycle share one answer; at a later cycle with the version
+        unchanged the index answers from its stored ready times.
         """
-        if (
-            self._sched_version == self._state_version
-            and self._sched_now == now
-        ):
-            return self._sched_pick, self._sched_wake
-        self._sync_drain(now)
-        queue = self.write_queue if self.draining_now else self.read_queue
-        buckets = queue.bank_buckets()
-        pick = None
-        wake: int | None = None
-        if buckets:
-            banks = self.channel.banks
-            earliest_issue = self.channel.earliest_issue
-            versions = queue.bank_versions()
-            is_write_q = queue is self.write_queue
-            memo = self._bank_memo_wr if is_write_q else self._bank_memo_rd
-            derive = self._derive_bank_candidate
-            read_cmd, write_cmd = CommandType.READ, CommandType.WRITE
-            act_cmd = CommandType.ACTIVATE
-            best_col = best_col_key = None
-            best_act = best_act_seq = None
-            best_pre = best_pre_seq = None
-            hits = misses = 0
-            for key, bucket in buckets.items():
-                rank, group, bank = key
-                bstate = banks[rank][group][bank]
-                open_row = bstate.open_row
-                ver = versions[key]
-                cached = memo.get(key)
-                if (
-                    cached is not None
-                    and cached[0] == ver
-                    and cached[1] == open_row
-                ):
-                    kind = cached[2]
-                    req = cached[3]
-                    hits += 1
-                else:
-                    kind, req = derive(bucket, open_row)
-                    memo[key] = (ver, open_row, kind, req)
-                    misses += 1
-                # The bank-scope "earliest next" register is an exact
-                # lower bound on the full earliest_issue answer (which
-                # only adds rank/bus constraints).  A bank whose bound
-                # is both past ``now`` (cannot be picked) and at or past
-                # the running ``wake`` minimum (cannot lower it) is
-                # skipped without the expensive full query.
-                if kind == 0:
-                    bound = bstate.next_wr if is_write_q else bstate.next_rd
-                    if bound > now and wake is not None and bound >= wake:
-                        continue
-                    cmd = write_cmd if is_write_q else read_cmd
-                    earliest = earliest_issue(cmd, rank, group, bank, now, 4)
-                    if earliest <= now:
-                        col_key = (req.arrival, req.serial)
-                        if best_col is None or col_key < best_col_key:
-                            best_col = (cmd, rank, group, bank, open_row, req)
-                            best_col_key = col_key
-                elif kind == 1:
-                    bound = bstate.next_act
-                    if bound > now and wake is not None and bound >= wake:
-                        continue
-                    earliest = earliest_issue(act_cmd, rank, group, bank, now)
-                    if earliest <= now and best_col is None:
-                        seq = bucket[0].queue_seq
-                        if best_act is None or seq < best_act_seq:
-                            best_act = (
-                                act_cmd, rank, group, bank,
-                                req.mapped.row, req,
-                            )
-                            best_act_seq = seq
-                else:
-                    # PRECHARGE's only constraint IS the bank register,
-                    # so the bound is the exact answer (see
-                    # DRAMChannel.earliest_issue).
-                    earliest = bstate.next_pre
-                    if earliest < now:
-                        earliest = now
-                    if (
-                        earliest <= now
-                        and best_col is None
-                        and best_act is None
-                    ):
-                        seq = bucket[0].queue_seq
-                        if best_pre is None or seq < best_pre_seq:
-                            best_pre = (
-                                CommandType.PRECHARGE, rank, group, bank,
-                                open_row, None,
-                            )
-                            best_pre_seq = seq
-                if wake is None or earliest < wake:
-                    wake = earliest
-            self.cand_bank_hits += hits
-            self.cand_bank_misses += misses
-            won = best_col if best_col is not None else (
-                best_act if best_act is not None else best_pre
+        if self._sched_version == self._state_version:
+            if self._sched_now == now:
+                return self._sched_pick, self._sched_wake
+            pick, wake = self._ready_index.requery(now)
+        else:
+            self._sync_drain(now)
+            queue = self.write_queue if self.draining_now else self.read_queue
+            pick, wake = self._ready_index.query(
+                queue.bank_buckets(), self.draining_now, now
             )
-            if won is not None:
-                pick = CandidateCommand(
-                    won[0], won[1], won[2], won[3], won[4], now, won[5]
-                )
-        self._sched_version = self._state_version
+            self._sched_version = self._state_version
         self._sched_now = now
         self._sched_pick = pick
         self._sched_wake = wake
         return pick, wake
+
+    @property
+    def sched_banks_rederived(self) -> int:
+        """Per-bank index entries re-derived so far (dirty banks)."""
+        return self._ready_index.banks_rederived
+
+    @property
+    def sched_requeries(self) -> int:
+        """Queries answered from stored ready times, not recomputed.
+
+        A repeat at a later cycle with the state unchanged, or a query
+        after a change only the inactive queue direction sees.
+        """
+        return self._ready_index.requeries
 
     def sync(self, now: int) -> None:
         """Fold elapsed wall time into mutable bookkeeping.
@@ -621,11 +445,7 @@ class ChannelController:
             cmd, rank, group, bank, earliest = action
             if earliest > now:
                 return False
-            self.channel.issue(cmd, rank, group, bank, now)
-            if cmd is CommandType.REFRESH:
-                self.refresh.paid(rank)
-            self._state_version += 1
-            self.next_cmd_cycle = now + 1
+            self._issue_refresh_action(cmd, rank, group, bank, now)
             return True
 
         if self._cache_enabled:
@@ -638,11 +458,7 @@ class ChannelController:
             if action is not None:
                 cmd, rank, group, bank, earliest = action
                 if earliest <= now:
-                    self.channel.issue(cmd, rank, group, bank, now)
-                    if cmd is CommandType.REFRESH:
-                        self.refresh.paid(rank)
-                    self._state_version += 1
-                    self.next_cmd_cycle = now + 1
+                    self._issue_refresh_action(cmd, rank, group, bank, now)
                     return True
             return False
 
@@ -670,9 +486,21 @@ class ChannelController:
             self.channel.issue(
                 pick.cmd, pick.rank, pick.group, pick.bank, now, row=pick.row
             )
+        self._ready_index.mark_both((pick.rank, pick.group, pick.bank))
         self._state_version += 1
         self.next_cmd_cycle = now + 1
         return True
+
+    def _issue_refresh_action(self, cmd, rank, group, bank, now) -> None:
+        """Issue a refresh-path PRECHARGE or REFRESH at ``now``."""
+        self.channel.issue(cmd, rank, group, bank, now)
+        if cmd is CommandType.REFRESH:
+            self.refresh.paid(rank)
+            self._ready_index.mark_rank(rank)
+        else:
+            self._ready_index.mark_both((rank, group, bank))
+        self._state_version += 1
+        self.next_cmd_cycle = now + 1
 
     def next_event(self, now: int) -> int | None:
         """Earliest cycle > ``now`` worth calling :meth:`step` at.

@@ -41,7 +41,7 @@ from .policies import get_policy, make_factory, policy_names, policy_table
 
 __all__ = ["POLICIES", "RunSummary", "run", "run_spec",
            "make_policy_factory", "energy_params_for",
-           "system_energy_params_for"]
+           "system_energy_params_for", "LazyZeroTables"]
 
 __doc__ = (__doc__ or "") + policy_table() + "\n"
 
@@ -90,6 +90,32 @@ def make_policy_factory(
     its historical name.
     """
     return make_factory(policy, zeros_by_scheme, lookahead, mil_overrides)
+
+
+class LazyZeroTables(dict):
+    """Per-scheme zero tables for one trace, each encoded on first read.
+
+    A run reads only the schemes its policy ships (which
+    ``mil_overrides`` may change), so tables are not declared up
+    front.  Each miss goes through :func:`precompute_line_zeros` with
+    the trace digest, so the zero-cache keys are the ones an eager
+    precompute would use.  A scheme without a zero-count path raises
+    the same ``KeyError`` an eager dict of ``real_schemes()`` would.
+    """
+
+    def __init__(self, trace):
+        super().__init__()
+        self._lines = trace.line_data
+        self._digest = trace.line_digest
+
+    def __missing__(self, scheme: str) -> np.ndarray:
+        if scheme not in real_schemes():
+            raise KeyError(scheme)
+        table = precompute_line_zeros(
+            self._lines, (scheme,), digest=self._digest
+        )[scheme]
+        self[scheme] = table
+        return table
 
 
 @dataclass
@@ -177,9 +203,7 @@ def run(
     trace = build_trace(
         benchmark, config, seed=seed, accesses_per_core=accesses_per_core
     )
-    zeros_by_scheme = precompute_line_zeros(
-        trace.line_data, real_schemes(), digest=trace.line_digest
-    )
+    zeros_by_scheme = LazyZeroTables(trace)
     factory = make_policy_factory(
         policy, zeros_by_scheme, lookahead, mil_overrides
     )

@@ -179,6 +179,16 @@ class DRAMChannel:
         self.last_bus_was_write: bool | None = None
         self.busy_cycles = 0
 
+        # Shared issue bounds per [rank][group] for ACTIVATE, READ and
+        # WRITE (see shared_issue_bounds), kept current by issue().
+        groups, ranks = geometry.bank_groups, geometry.ranks
+        self._act_bounds = [[0] * groups for _ in range(ranks)]
+        self._rd_bounds = [[0] * groups for _ in range(ranks)]
+        self._wr_bounds = [[0] * groups for _ in range(ranks)]
+        for rank in range(ranks):
+            self._update_act_bounds(rank)
+        self._update_column_bounds()
+
         # Event counters for the energy model.
         self.activate_count = 0
         self.read_count = 0
@@ -264,31 +274,25 @@ class DRAMChannel:
         Pure query: no state changes.  For column commands,
         ``bus_cycles`` is the data-bus occupancy (4 for BL8, 5 for BL10,
         8 for BL16).
-        """
-        t = self.timing
-        b = self.banks[rank][group][bank]
-        r = self.ranks[rank]
 
+        Apart from REFRESH, the answer is ``max(now, bank register,
+        shared_issue_bounds(cmd)[rank][group])``: the bank's own
+        earliest-next register for ``cmd`` and one bound shared by every
+        bank of the group (none for PRECHARGE).  The controller's
+        ready-time index rests on that split.
+        """
+        b = self.banks[rank][group][bank]
         if cmd is CommandType.ACTIVATE:
-            earliest = max(now, b.next_act, r.next_act, r.group_next_act[group])
-            if len(r.act_history) >= 4:
-                earliest = max(earliest, r.act_history[-4] + t.FAW)
-            return earliest
+            return max(now, b.next_act, self._act_bounds[rank][group])
 
         if cmd is CommandType.PRECHARGE:
             return max(now, b.next_pre)
 
-        if cmd in (CommandType.READ, CommandType.WRITE):
-            is_write = cmd is CommandType.WRITE
-            if is_write:
-                earliest = max(now, b.next_wr, r.next_wr, r.group_next_wr[group])
-            else:
-                earliest = max(now, b.next_rd, r.next_rd, r.group_next_rd[group])
-            # Data-bus availability converts to an issue-time bound.
-            latency = self._data_latency(is_write)
-            gap = self._bus_gap(rank, is_write)
-            earliest = max(earliest, self.bus_free_at + gap - latency)
-            return earliest
+        if cmd is CommandType.READ:
+            return max(now, b.next_rd, self._rd_bounds[rank][group])
+
+        if cmd is CommandType.WRITE:
+            return max(now, b.next_wr, self._wr_bounds[rank][group])
 
         if cmd is CommandType.REFRESH:
             # All banks in the rank must be precharged and past tRP.  An
@@ -298,6 +302,8 @@ class DRAMChannel:
             # cycle its required precharge could complete instead.
             # Closed banks are covered wholesale by the rank's running
             # ``closed_next_act`` bound, so only open banks are visited.
+            t = self.timing
+            r = self.ranks[rank]
             earliest = max(now, r.closed_next_act)
             banks_r = self.banks[rank]
             for grp_i, bank_i in r.open_keys:
@@ -306,6 +312,57 @@ class DRAMChannel:
             return earliest
 
         raise ValueError(f"unknown command {cmd}")
+
+    def shared_issue_bounds(self, cmd: CommandType) -> list:
+        """The part of :meth:`earliest_issue` no single bank owns.
+
+        A live ``[rank][group]`` table for ACTIVATE, READ or WRITE.
+        ACTIVATE: the rank and bank-group tRRD registers plus the tFAW
+        window.  READ/WRITE: the rank and bank-group tCCD/tWTR
+        registers plus the data bus, whose free cycle (with its tRTRS
+        bubble on a rank or direction switch) converts to an issue-time
+        bound.  PRECHARGE has no shared term — its only constraint is
+        the bank's own register — and REFRESH does not split.
+
+        :meth:`issue` is the only place a rank, bank-group or bus
+        register moves, and it updates the tables in place, so a caller
+        may hold on to them; it must treat them as read-only.
+        """
+        if cmd is CommandType.ACTIVATE:
+            return self._act_bounds
+        if cmd is CommandType.READ:
+            return self._rd_bounds
+        if cmd is CommandType.WRITE:
+            return self._wr_bounds
+        raise ValueError(f"no shared issue bound for {cmd}")
+
+    def _update_act_bounds(self, rank: int) -> None:
+        r = self.ranks[rank]
+        base = r.next_act
+        if len(r.act_history) >= 4:
+            base = max(base, r.act_history[-4] + self.timing.FAW)
+        table = self._act_bounds[rank]
+        for g, reg in enumerate(r.group_next_act):
+            table[g] = reg if reg > base else base
+
+    def _update_column_bounds(self) -> None:
+        # Every rank: the data bus is channel-wide.  Its availability
+        # converts to an issue-time bound, with the tRTRS bubble owed on
+        # a rank or direction switch.
+        t = self.timing
+        for rank, r in enumerate(self.ranks):
+            base = max(
+                r.next_rd, self.bus_free_at + self._bus_gap(rank, False) - t.CL
+            )
+            table = self._rd_bounds[rank]
+            for g, reg in enumerate(r.group_next_rd):
+                table[g] = reg if reg > base else base
+            base = max(
+                r.next_wr, self.bus_free_at + self._bus_gap(rank, True) - t.WL
+            )
+            table = self._wr_bounds[rank]
+            for g, reg in enumerate(r.group_next_wr):
+                table[g] = reg if reg > base else base
 
     # ------------------------------------------------------------------
     # Issue
@@ -388,6 +445,7 @@ class DRAMChannel:
             r.act_history.append(cycle)
             if len(r.act_history) > 8:
                 del r.act_history[:-8]
+            self._update_act_bounds(rank)
             self.activate_count += 1
             if self.probe is not None:
                 self.probe.activate(cycle, rank)
@@ -450,6 +508,7 @@ class DRAMChannel:
             self.last_bus_rank = rank
             self.last_bus_was_write = is_write
             self.busy_cycles += bus_cycles
+            self._update_column_bounds()
             if self.keep_log:
                 self.transactions.append(
                     BusTransaction(

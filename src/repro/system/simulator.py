@@ -556,5 +556,9 @@ def simulate(
             "coalesced_writes": sum(mc.coalesced_writes for mc in controllers),
             "event_queue_pops": events.pops if events is not None else 0,
             "event_queue_stale": events.stale if events is not None else 0,
+            "sched_banks_rederived": sum(
+                mc.sched_banks_rederived for mc in controllers
+            ),
+            "sched_requeries": sum(mc.sched_requeries for mc in controllers),
         },
     )

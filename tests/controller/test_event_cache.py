@@ -74,17 +74,30 @@ def test_cache_off_is_byte_identical(seed, page_policy, monkeypatch):
 
 
 def test_cache_is_actually_exercised():
-    """Guard against the memo silently never hitting (dead cache)."""
+    """Guard against the ready-time index silently never engaging."""
     mc = ChannelController(DDR4_3200, DDR4_GEOMETRY)
     assert mc._cache_enabled is True
-    for line in range(4):
-        mc.enqueue(make_request(line), 0)
-    # Same state, repeated queries: the second read must come from the
-    # memo (same list object), and the version must be pinned.
-    first = mc._candidates(0)
-    assert mc._cand_version == mc._state_version
-    assert mc._candidates(0) is first
-    # Issuing a command invalidates it.
+    requests = [make_request(line) for line in range(4)]
+    for req in requests:
+        mc.enqueue(req, 0)
+    banks = {
+        (r.mapped.rank, r.mapped.bank_group, r.mapped.bank)
+        for r in requests
+    }
+    # The first query derives each enqueued bank once.
+    pick, wake = mc._schedule_query(0)
+    assert pick is not None and wake == 0
+    assert mc.sched_banks_rederived == len(banks)
+    # Same state, same cycle: the memoised answer, nothing re-derived.
+    assert mc._schedule_query(0) == (pick, wake)
+    assert mc.sched_banks_rederived == len(banks)
+    assert mc.sched_requeries == 0
+    # Same state, a later cycle: answered from the stored ready times.
+    later_pick, _ = mc._schedule_query(5)
+    assert mc.sched_requeries == 1
+    assert mc.sched_banks_rederived == len(banks)
+    assert later_pick.cmd is pick.cmd and later_pick.request is pick.request
+    # Issuing a command dirties only the bank it went to.
     assert mc.step(0) is True
-    assert mc._cand_version != mc._state_version
-    assert mc._candidates(1) is not first
+    mc._schedule_query(1)
+    assert mc.sched_banks_rederived == len(banks) + 1

@@ -136,3 +136,57 @@ class TestSweepPolicies:
         b = run("MM", NIAGARA_SERVER, "mil", accesses_per_core=SCALE, seed=3)
         assert a.cycles == b.cycles
         assert a.total_zeros == b.total_zeros
+
+
+class TestPolicyScopedZeroTables:
+    """``run`` encodes only the zero tables its policy actually reads."""
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        from repro.core import framework
+
+        seen: list[str] = []
+        real = framework.precompute_line_zeros
+
+        def spy(lines, schemes, **kwargs):
+            seen.extend(schemes)
+            return real(lines, schemes, **kwargs)
+
+        monkeypatch.setattr(framework, "precompute_line_zeros", spy)
+        return seen
+
+    def test_dbi_run_encodes_only_dbi(self, encoded):
+        run("GUPS", NIAGARA_SERVER, "dbi", accesses_per_core=200)
+        assert encoded == ["dbi"]
+
+    def test_mil_long_scheme_override_gets_its_table(self, encoded):
+        summary = run(
+            "GUPS", NIAGARA_SERVER, "mil", accesses_per_core=200,
+            mil_overrides={"long_scheme": "lwc12"},
+        )
+        assert summary.scheme_counts.get("lwc12", 0) > 0
+        assert "lwc12" in encoded
+        assert "3lwc" not in encoded
+        assert len(encoded) == len(set(encoded))  # each encoded once
+
+    def test_tables_match_the_eager_precompute(self):
+        from repro.coding.pipeline import precompute_line_zeros
+        from repro.coding.registry import real_schemes
+        from repro.core.framework import LazyZeroTables
+        from repro.workloads.benchmarks import build_trace
+
+        trace = build_trace("GUPS", NIAGARA_SERVER, accesses_per_core=50)
+        eager = precompute_line_zeros(
+            trace.line_data, real_schemes(), digest=trace.line_digest
+        )
+        lazy = LazyZeroTables(trace)
+        for scheme in real_schemes():
+            np.testing.assert_array_equal(lazy[scheme], eager[scheme])
+        # A scheme without a zero-count path fails exactly as before.
+        for scheme in ("bl12", "nope"):
+            with pytest.raises(KeyError) as lazy_err:
+                lazy[scheme]
+            with pytest.raises(KeyError) as eager_err:
+                eager[scheme]
+            assert str(lazy_err.value) == str(eager_err.value)
+            assert scheme not in lazy

@@ -115,6 +115,17 @@ class TestEventCoreBoundaries:
         assert "_candidates" in problems[0]
         assert "_schedule_query" in problems[1]
 
+    def test_catches_ready_index_internals(self):
+        lint = _load_linter()
+        bad = (
+            "index = mc._ready_index\n"
+            "index._rederive(0, buckets, dirty)\n"
+        )
+        problems = lint.check_source(bad, "fake.py")
+        assert len(problems) == 2
+        assert "_ready_index" in problems[0]
+        assert "_rederive" in problems[1]
+
     def test_controller_package_is_exempt(self):
         lint = _load_linter()
         good = "pick, wake = self._schedule_query(now)\n"

@@ -32,10 +32,10 @@ DESIGN.md, "Event core"):
   internal to ``repro.system`` — no module outside that package may
   import it, by any spelling;
 * the controller's scheduling internals (``_candidates``,
-  ``_assemble_candidates``, ``_schedule_query``,
-  ``_derive_bank_candidate``, ``_bank_memo_rd``, ``_bank_memo_wr``)
-  are internal to ``repro.controller`` — outside it, only the public
-  ``step`` / ``next_event`` / ``sync`` surface exists.
+  ``_schedule_query`` and the ready-time index: ``_ready_index``,
+  ``_rederive``, ``_answer``, ``_view_dir``) are internal to
+  ``repro.controller`` — outside it, only the public ``step`` /
+  ``next_event`` / ``sync`` surface exists.
 
 Run from the repository root (CI does)::
 
@@ -66,15 +66,16 @@ CODEC_CLASS_NAMES = frozenset({
 })
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 EXEMPT = "coding"  # the package that owns (and may use) the legacy views
-# Controller scheduling internals: the incremental candidate cache and
-# the fused (pick, wake) query.  Only repro.controller may touch them.
+# Controller scheduling internals: the full-scan oracle hook, the
+# (pick, wake) query and the ready-time index behind it.  Only
+# repro.controller may touch them.
 CONTROLLER_INTERNALS = frozenset({
     "_candidates",
-    "_assemble_candidates",
     "_schedule_query",
-    "_derive_bank_candidate",
-    "_bank_memo_rd",
-    "_bank_memo_wr",
+    "_ready_index",
+    "_rederive",
+    "_answer",
+    "_view_dir",
 })
 # The event heap's owning package; repro.system.events may not be
 # imported from anywhere else.
