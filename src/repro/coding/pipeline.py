@@ -168,7 +168,7 @@ def encode_trace(
     line order for DBI/LWC) and runs the codec's ``encode_lines``
     kernel: ``(n, 64)`` uint8 lines in, ``(n, code_bits_per_line)``
     uint8 bit rows out.  ``impl`` selects a specific backend
-    (``"reference"`` | ``"numpy"`` | ``"native"``); ``None`` uses the
+    (``"reference"`` | ``"numpy"``); ``None`` uses the
     process-wide :func:`~repro.coding.registry.active_impl`.  This is
     what the ``coding.encode_trace.*`` benchmarks measure.
     """

@@ -38,7 +38,7 @@ squares that appear when the line is rearranged into bus-beat order,
 which is where the spatial correlation they exploit lives.
 
 Every codec entry additionally carries a *backend slot*: a mapping from
-implementation name (``"reference"`` | ``"numpy"`` | ``"native"``) to a
+implementation name (``"reference"`` | ``"numpy"``) to a
 factory for that implementation.  ``register_codec`` installs the
 decorated factory as the entry's default backend; alternative
 implementations self-register afterwards::
@@ -49,11 +49,10 @@ implementations self-register afterwards::
 
 The active backend is chosen per process via the ``REPRO_CODEC_IMPL``
 environment variable (the CLI's ``--codec-impl`` flag sets it), and a
-scheme with no backend registered under the requested name silently
-falls back to its default — asking for ``native`` kernels degrades to
-``numpy`` rather than failing, exactly like ``HAVE_NATIVE_POPCOUNT``
-gating in :mod:`repro.coding.bitops`.  All backends of a scheme must be
-bit-identical; the cross-validation suite in
+scheme with no backend registered under the requested name falls back
+to its default — a codec registered with only its ``numpy`` factory
+still runs under ``REPRO_CODEC_IMPL=reference``.  All backends of a
+scheme must be bit-identical; the cross-validation suite in
 ``tests/coding/test_backend_equivalence.py`` enforces it, which is what
 lets zero tables (and therefore campaign cache entries) stay
 byte-identical no matter which backend produced them.
@@ -98,10 +97,8 @@ LINE_BYTES = 64
 # ``reference`` — pure-Python, per-element oracle (slow, obviously
 #     correct; what the property suites cross-validate against).
 # ``numpy``     — the vectorised batched kernels (default).
-# ``native``    — reserved for compiled extensions; schemes without one
-#     fall back to their default backend automatically.
 IMPL_ENV = "REPRO_CODEC_IMPL"
-KNOWN_IMPLS = ("reference", "numpy", "native")
+KNOWN_IMPLS = ("reference", "numpy")
 DEFAULT_IMPL = "numpy"
 
 # Impl names introduced by third-party ``register_backend`` calls; they
@@ -268,9 +265,10 @@ class CodecInfo:
 
         ``impl=None`` means :func:`active_impl`.  A scheme without a
         registration under the requested impl falls back to its
-        ``default_impl`` (so ``native`` degrades to ``numpy`` instead of
-        failing); the instance is cached under the *resolved* impl, so
-        the fallback shares the default's singleton.
+        ``default_impl`` (a codec registered with a single backend still
+        runs under ``REPRO_CODEC_IMPL=reference``); the instance is
+        cached under the *resolved* impl, so the fallback shares the
+        default's singleton.
         """
         if self.factory is None:
             raise NoCodecError(

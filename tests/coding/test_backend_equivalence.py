@@ -137,3 +137,18 @@ class TestZeroTablesImplIndependent:
         monkeypatch.setenv(registry.IMPL_ENV, "cython")
         with pytest.raises(ValueError):
             registry.active_impl()
+
+    def test_native_is_not_a_backend(self, monkeypatch, capsys):
+        monkeypatch.setenv(registry.IMPL_ENV, "native")
+        with pytest.raises(ValueError, match="known: ") as excinfo:
+            registry.active_impl()
+        known = str(excinfo.value).split("known: ", 1)[1]
+        assert "'numpy'" in known and "'reference'" in known
+        assert "native" not in known
+
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--codec-impl", "native", "list"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'native'" in capsys.readouterr().err

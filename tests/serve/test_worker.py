@@ -108,7 +108,13 @@ class FakeWorker:
         self.sock.sendall((json.dumps(obj) + "\n").encode())
 
     def vanish(self) -> None:
-        """Die without ceremony — no result, no close handshake."""
+        """Die without ceremony — no result, no close handshake.
+
+        The reader from ``makefile`` holds its own reference to the
+        descriptor, so it must be closed too or the service never sees
+        EOF and only culls the worker after three missed heartbeats.
+        """
+        self.file.close()
         self.sock.close()
 
 
