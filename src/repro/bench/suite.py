@@ -35,7 +35,9 @@ Groups:
     Scenario-engine hot paths: compiling the whole checked-in
     ``scenarios/`` corpus into RunSpec matrices (the per-invocation
     cost every ``repro scenario`` command pays — kept sub-second by the
-    baseline gate) and synthesising one mixed-arrival trace.
+    baseline gate) and synthesising one mixed-arrival trace; plus one
+    cold ``build_trace`` through the cache hierarchy, the front half of
+    every run.
 ``serve.*``
     The resident campaign service over its Unix-socket wire protocol:
     a fully-cached submit→terminal roundtrip (API + scheduler + store
@@ -540,6 +542,24 @@ def _mixed_trace():
     mix = MixSpec.make({"GUPS": 0.6, "CG": 0.4}, zero_bias=0.25)
     return lambda: build_mixed_trace(
         mix, config, seed=0, accesses_per_core=500
+    )
+
+
+@benchmark(
+    "workloads.build_trace.gups",
+    params={"benchmark": "GUPS", "system": "ddr4-server",
+            "accesses_per_core": 500},
+    smoke=True,
+    description="cold GUPS build_trace: L2 warm-up, L1/L2 + MESI + "
+                "prefetcher filter, payloads (trace cache bypassed)",
+)
+def _build_trace():
+    from ..system.machine import SYSTEMS
+    from ..workloads.benchmarks import build_trace
+
+    config = SYSTEMS["ddr4-server"]
+    return lambda: build_trace(
+        "GUPS", config, accesses_per_core=500, use_cache=False
     )
 
 

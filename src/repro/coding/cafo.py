@@ -30,38 +30,101 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CodingScheme
+from .bitops import byte_popcount_table
 from .registry import register_codec
 
 __all__ = ["CAFOCode"]
 
+# The solver works on packed squares: one uint64 per 8x8 square, row
+# ``i`` in byte ``i`` (bits 8i..8i+7) and the row's MSB-first bit order
+# kept, so a row is a data byte and ``_REPLICATE * b`` copies byte
+# ``b`` into every row.  Row flips are held as byte masks (0xFF for a
+# flipped row) and column flips as one byte in row-bit positions, so
+# both apply with a single XOR.
+_REPLICATE = np.uint64(0x0101010101010101)
+_POPCOUNT = byte_popcount_table()
+_ZEROS = (8 - _POPCOUNT).astype(np.uint8)
+# A row (or column) with p ones after the other dimension's flips costs
+# 8 - p zeros sent straight and p + 1 flipped (its flag wire reads 0),
+# so a pass flips it iff p <= 3 — whatever its flag was before the pass.
+_FLIP = (_POPCOUNT <= 3).astype(np.uint8)
+_FLIP_MASK = _FLIP * np.uint8(0xFF)
 
-def _row_pass(square: np.ndarray, rf: np.ndarray, cf: np.ndarray) -> np.ndarray:
-    """One synchronised row pass over ``(n, 8, 8)`` squares, in place.
 
-    A row flips when doing so strictly lowers its cost (its transmitted
-    zeros, counting the flag wire).  Returns the per-square changed
-    mask, shape ``(n,)``.
+def _squares(data: np.ndarray) -> np.ndarray:
+    """``(..., 8m)`` uint8 rows -> flat uint64 squares (row i in byte i)."""
+    data = np.ascontiguousarray(data, dtype=np.uint8)
+    return data.view("<u8").reshape(-1).astype(np.uint64, copy=False)
+
+
+def _row_bytes(squares: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_squares`: the flat row bytes of each square."""
+    return squares.astype("<u8", copy=False).view(np.uint8)
+
+
+def _transpose(x: np.ndarray) -> np.ndarray:
+    """8x8 bit transpose: byte k of the result is bit k of every row."""
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        shift, mask = np.uint64(shift), np.uint64(mask)
+        t = (x ^ (x >> shift)) & mask
+        x = x ^ t ^ (t << shift)
+    return x
+
+
+def _spread(cf: np.ndarray) -> np.ndarray:
+    """Column flip bytes -> masks flipping those columns in every row."""
+    return cf.astype(np.uint64) * _REPLICATE
+
+
+def _row_flips(squares: np.ndarray, cf: np.ndarray) -> np.ndarray:
+    """Row flip masks given column flips ``cf`` (one byte per square)."""
+    return _squares(_FLIP_MASK[_row_bytes(squares ^ _spread(cf))])
+
+
+def _column_flips(squares: np.ndarray, rm: np.ndarray) -> np.ndarray:
+    """Column flip byte given row flip masks ``rm``."""
+    columns = _row_bytes(_transpose(squares ^ rm))
+    return np.packbits(
+        _FLIP[columns].reshape(-1, 8), axis=1, bitorder="little"
+    ).reshape(-1)
+
+
+def _solve(
+    squares: np.ndarray, iterations: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row flip masks and column flip bytes for packed ``squares``.
+
+    Passes are synchronised: a row pass re-decides every row from the
+    current column flips, a column pass every column from the current
+    row flips.  ``iterations`` half-passes alternate row, column, row,
+    ...; ``None`` repeats row+column sweeps over an *active set* until a
+    sweep changes nothing (a fixed point — those squares can never
+    change again).  Each accepted flip strictly lowers the square's
+    zeros, so this terminates; 64 sweeps is a generous safety bound.
     """
-    eff = square ^ rf[:, :, None] ^ cf[:, None, :]
-    zeros = 8 - eff.sum(axis=2, dtype=np.int64)  # (n, 8)
-    # Current cost of each row: its zeros plus 1 if its flag is
-    # transmitted as 0 (i.e. the row is flipped).
-    cur = zeros + rf
-    alt = (8 - zeros) + (1 - rf)
-    flip = alt < cur
-    rf ^= flip.astype(np.uint8)
-    return flip.any(axis=1)
-
-
-def _col_pass(square: np.ndarray, rf: np.ndarray, cf: np.ndarray) -> np.ndarray:
-    """One synchronised column pass; mirror of :func:`_row_pass`."""
-    eff = square ^ rf[:, :, None] ^ cf[:, None, :]
-    zeros = 8 - eff.sum(axis=1, dtype=np.int64)  # (n, 8)
-    cur = zeros + cf
-    alt = (8 - zeros) + (1 - cf)
-    flip = alt < cur
-    cf ^= flip.astype(np.uint8)
-    return flip.any(axis=1)
+    n = squares.shape[0]
+    rm = np.zeros(n, dtype=np.uint64)
+    cf = np.zeros(n, dtype=np.uint8)
+    if iterations is not None:
+        for i in range(iterations):
+            if i % 2 == 0:
+                rm = _row_flips(squares, cf)
+            else:
+                cf = _column_flips(squares, rm)
+        return rm, cf
+    active = np.arange(n)
+    for _ in range(64):
+        sq = squares[active]
+        r = _row_flips(sq, cf[active])
+        c = _column_flips(sq, r)
+        changed = (r != rm[active]) | (c != cf[active])
+        rm[active] = r
+        cf[active] = c
+        active = active[changed]
+        if active.size == 0:
+            break
+    return rm, cf
 
 
 class CAFOCode(CodingScheme):
@@ -89,60 +152,24 @@ class CAFOCode(CodingScheme):
         self.extra_latency_cycles = iterations if iterations is not None else 4
 
     # ------------------------------------------------------------------
-    # Core flip search
-    # ------------------------------------------------------------------
-    def _solve(self, square: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Choose row/column flip indicators for ``(n, 8, 8)`` squares.
-
-        Both variants run the passes as whole-array reductions across
-        every square at once; the convergent variant additionally keeps
-        an *active set*, dropping squares as soon as a full row+column
-        sweep leaves them unchanged (a fixed point of the deterministic
-        passes — they can never change again).
-        """
-        n = square.shape[0]
-        rf = np.zeros((n, 8), dtype=np.uint8)
-        cf = np.zeros((n, 8), dtype=np.uint8)
-
-        if self.iterations is not None:
-            for i in range(self.iterations):
-                if i % 2 == 0:
-                    _row_pass(square, rf, cf)
-                else:
-                    _col_pass(square, rf, cf)
-        else:
-            # Original CAFO: iterate row+column sweeps to a fixed point.
-            # Each accepted flip strictly reduces total zeros, so this
-            # terminates (the objective is bounded below by 0); 64
-            # sweeps is a generous safety bound.
-            active = np.arange(n)
-            for _ in range(64):
-                sq = square[active]
-                r = rf[active]
-                c = cf[active]
-                changed = _row_pass(sq, r, c)
-                changed |= _col_pass(sq, r, c)
-                rf[active] = r
-                cf[active] = c
-                active = active[changed]
-                if active.size == 0:
-                    break
-        return rf, cf
-
-    # ------------------------------------------------------------------
     # CodingScheme interface
     # ------------------------------------------------------------------
     def encode_blocks(self, data_bits: np.ndarray) -> np.ndarray:
         data_bits = np.asarray(data_bits, dtype=np.uint8)
         lead = data_bits.shape[:-1]
-        square = data_bits.reshape(-1, 8, 8)
-        n = square.shape[0]
+        squares = _squares(np.packbits(data_bits, axis=-1))
+        n = squares.shape[0]
 
-        rf, cf = self._solve(square)
-        eff = square ^ rf[:, :, None] ^ cf[:, None, :]
+        rm, cf = _solve(squares, self.iterations)
+        eff = _row_bytes(squares ^ rm ^ _spread(cf))
         code = np.concatenate(
-            [eff.reshape(n, 64), 1 - rf, 1 - cf], axis=1
-        ).astype(np.uint8)
+            [
+                np.unpackbits(eff).reshape(n, 64),
+                (_row_bytes(rm) & 1).reshape(n, 8) ^ 1,
+                np.unpackbits(cf[:, None], axis=1) ^ 1,
+            ],
+            axis=1,
+        )
         return code.reshape(lead + (80,))
 
     def decode_blocks(self, code_bits: np.ndarray) -> np.ndarray:
@@ -158,24 +185,26 @@ class CAFOCode(CodingScheme):
         return data.reshape(lead + (64,))
 
     def count_zeros(self, data_bits: np.ndarray) -> np.ndarray:
-        data_bits = np.asarray(data_bits, dtype=np.uint8)
-        lead = data_bits.shape[:-1]
-        square = data_bits.reshape(-1, 8, 8)
-
-        rf, cf = self._solve(square)
-        eff = square ^ rf[:, :, None] ^ cf[:, None, :]
-        body_zeros = 64 - eff.sum(axis=(1, 2), dtype=np.int64)
-        flag_zeros = rf.sum(axis=1, dtype=np.int64) + cf.sum(axis=1, dtype=np.int64)
-        return (body_zeros + flag_zeros).reshape(lead)
+        return self.count_zeros_bytes(
+            np.packbits(np.asarray(data_bits, dtype=np.uint8), axis=-1)
+        )
 
     def count_zeros_bytes(self, data: np.ndarray) -> np.ndarray:
         """Zero count from uint8 bytes; 8-byte groups form 64-bit blocks."""
         data = np.asarray(data, dtype=np.uint8)
-        if data.shape[-1] % 8 != 0:
+        lead, k = data.shape[:-1], data.shape[-1]
+        if k % 8 != 0:
             raise ValueError("CAFO operates on whole 8-byte blocks")
-        bits = np.unpackbits(data, axis=-1)
-        blocks = bits.reshape(bits.shape[:-1] + (data.shape[-1] // 8, 64))
-        return self.count_zeros(blocks).sum(axis=-1)
+        squares = _squares(data)
+        rm, cf = _solve(squares, self.iterations)
+        eff = squares ^ rm ^ _spread(cf)
+        # Per row: its transmitted zeros plus its flag wire (0 = flipped);
+        # per square: its column flag wires.
+        rows = _ZEROS[_row_bytes(eff)] + (_row_bytes(rm) & 1)
+        columns = _POPCOUNT[cf]
+        return rows.reshape(lead + (k,)).sum(
+            axis=-1, dtype=np.int64
+        ) + columns.reshape(lead + (k // 8,)).sum(axis=-1, dtype=np.int64)
 
 
 # The two deterministic-latency design points the paper evaluates

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["Cache", "AccessResult"]
+
+_WARM_BATCH = 8192  # lines per Cache.warm batch (keeps temporaries small)
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,60 @@ class Cache:
                 writeback = victim
         ways[line] = dirty
         return writeback
+
+    def warm(self, addresses: np.ndarray, dirty: np.ndarray) -> None:
+        """Fill an empty cache with distinct lines in one step.
+
+        Equal to ``fill(a, dirty=d)`` for each pair in order when no two
+        addresses share a line: each set ends up holding the last
+        ``ways`` lines filled into it, oldest first (LRU order), with
+        their own dirty flags, and ``writebacks`` counts the dirty lines
+        those fills evict.  The steady state is built directly instead
+        of replaying the evictions.
+        """
+        if any(self._sets):
+            raise ValueError(f"{self.name}: warm() needs an empty cache")
+        addresses = np.asarray(addresses, dtype=np.int64)
+        dirty = np.asarray(dirty, dtype=bool)
+        # Batches keep every temporary small: memory peaks while the
+        # sets fill, and big transient arrays would raise that peak.
+        batches = [
+            slice(start, start + _WARM_BATCH)
+            for start in range(0, len(addresses), _WARM_BATCH)
+        ]
+
+        def lines_and_sets(batch):
+            lines = addresses[batch] - addresses[batch] % self.line_bytes
+            return lines, (lines // self.line_bytes) & self._set_mask
+
+        def set_counts(sets):
+            return np.bincount(sets, minlength=self.num_sets)
+
+        # The k-th line filled into a set (from 0) survives when fewer
+        # than ``ways`` lines follow it there: k >= count - ways.
+        first_kept = -self.ways + sum(
+            set_counts(lines_and_sets(batch)[1]) for batch in batches
+        )
+        seen = np.zeros(self.num_sets, dtype=np.int64)
+        for batch in batches:
+            lines, sets = lines_and_sets(batch)
+            # k = lines of the set in earlier batches + rank in this one
+            # (a stable sort keeps fill order within a set).
+            order = np.argsort(sets, kind="stable")
+            grouped = sets[order]
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order)) - np.searchsorted(
+                grouped, grouped
+            )
+            keep = seen[sets] + rank >= first_kept[sets]
+            seen += set_counts(sets)
+            flags = dirty[batch]
+            self.writebacks += int(np.count_nonzero(flags & ~keep))
+            # Inserting in fill order leaves each set in LRU order.
+            for index, line, flag in zip(
+                sets[keep].tolist(), lines[keep].tolist(), flags[keep].tolist()
+            ):
+                self._sets[index][line] = flag
 
     def invalidate(self, address: int) -> bool:
         """Drop a line; returns True if it was present and dirty."""

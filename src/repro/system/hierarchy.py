@@ -87,9 +87,13 @@ def _warm_l2(l2, streams, config, rng) -> None:
     where every fill evicts and dirty victims stream back to memory.
     Victim dirtiness follows each stream's own write density (the
     probability that a 64-byte line received at least one write).
+
+    The warm-up lines are distinct, so :meth:`Cache.warm` builds the
+    state that filling them stream by stream, in order, would leave.
     """
     capacity = config.l2_bytes // config.line_bytes
     per_stream = capacity // max(1, len(streams)) + 1
+    dirty = np.empty((len(streams), per_stream), dtype=bool)
     for idx, stream in enumerate(streams):
         if len(stream):
             lines = stream.addresses // config.line_bytes
@@ -98,10 +102,11 @@ def _warm_l2(l2, streams, config, rng) -> None:
             line_dirty_prob = len(dirtied) / max(1, len(touched))
         else:
             line_dirty_prob = 0.0
-        base = _WARMUP_BIT | (idx << 36)
-        dirty = rng.random(per_stream) < line_dirty_prob
-        for k in range(per_stream):
-            l2.fill(base + k * config.line_bytes, dirty=bool(dirty[k]))
+        dirty[idx] = rng.random(per_stream) < line_dirty_prob
+    # Stream ``idx`` fills lines base + k * line_bytes, k = 0, 1, ...
+    bases = _WARMUP_BIT | (np.arange(len(streams), dtype=np.int64) << 36)
+    offsets = np.arange(per_stream, dtype=np.int64) * config.line_bytes
+    l2.warm(np.add.outer(bases, offsets).ravel(), dirty.ravel())
 
 
 def filter_through_hierarchy(
@@ -196,6 +201,14 @@ def filter_through_hierarchy(
         else:
             pending_cpu_cycles[core] += config.l2_hit_cpu_cycles
 
+    # CPU cycles of work per access, per core (loop-invariant).
+    think_cycles = [
+        (1.0 + stream.insts_per_access)
+        * config.intensity_scale
+        / config.issue_ipc
+        for stream in streams
+    ]
+    line_bytes = config.line_bytes
     live = [i for i in range(len(streams)) if len(streams[i])]
     while live:
         still_live = []
@@ -204,30 +217,36 @@ def filter_through_hierarchy(
             start = positions[core]
             stop = min(start + _INTERLEAVE_CHUNK, len(stream))
             l1 = l1s[core]
-            for idx in range(start, stop):
-                address = int(stream.addresses[idx])
-                is_write = bool(stream.is_write[idx])
-                cpu_accesses += 1
-                pending_cpu_cycles[core] += (
-                    (1.0 + stream.insts_per_access)
-                    * config.intensity_scale
-                    / config.issue_ipc
-                )
+            # Most accesses hit the L1; those are handled inline on the
+            # cache's own set dicts (same LRU/dirty update as
+            # Cache.access) without building an AccessResult.
+            l1_sets = l1._sets
+            l1_mask = l1._set_mask
+            think = think_cycles[core]
+            cpu_accesses += stop - start
+            for address, is_write in zip(
+                stream.addresses[start:stop].tolist(),
+                stream.is_write[start:stop].tolist(),
+            ):
+                pending_cpu_cycles[core] += think
+                line = address - address % line_bytes
+                ways = l1_sets[(address // line_bytes) & l1_mask]
+                if line in ways:
+                    l1.hits += 1
+                    ways[line] = ways.pop(line) or is_write  # now MRU
+                    if is_write:
+                        outcome = directory.write(core, line)
+                        for other in outcome.invalidated:
+                            l1s[other].invalidate(line)
+                    continue
 
                 result = l1.access(address, is_write)
-                line = result.line
                 if result.writeback is not None:
                     # Dirty L1 victim lands in the L2 (writeback cache).
                     directory.evict(core, result.writeback)
                     victim = l2.fill(result.writeback, dirty=True)
                     if victim is not None:
                         emit(core, victim, True, prefetch=False)
-                if result.hit:
-                    if is_write:
-                        outcome = directory.write(core, line)
-                        for other in outcome.invalidated:
-                            l1s[other].invalidate(line)
-                    continue
 
                 # L1 miss: coherence first, then the shared L2.
                 outcome = (

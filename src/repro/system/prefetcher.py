@@ -43,7 +43,6 @@ class _Stream:
     direction: int  # +1 or -1
     confirmations: int
     frontier: int  # next line index to prefetch
-    last_used: int  # for LRU stream replacement
 
 
 class StreamPrefetcher:
@@ -53,26 +52,25 @@ class StreamPrefetcher:
         self.config = config
         self.line_bytes = line_bytes
         self._streams: list[_Stream] = []
-        self._tick = 0
+        # Slot indices, least recently used first.
+        self._lru: dict[int, None] = {}
         self.issued = 0
 
     def observe(self, address: int) -> list[int]:
         """Feed one demand access; returns line addresses to prefetch."""
-        self._tick += 1
         line = address // self.line_bytes
         out: list[int] = []
 
-        for stream in self._streams:
+        for slot, stream in enumerate(self._streams):
             delta = line - stream.last_line
-            if delta == 0:
-                stream.last_used = self._tick
-                return out
-            if 0 < abs(delta) <= _MATCH_WINDOW:
+            if -_MATCH_WINDOW <= delta <= _MATCH_WINDOW:
+                self._touch(slot)
+                if delta == 0:
+                    return out
                 direction = 1 if delta > 0 else -1
                 if direction == stream.direction:
                     stream.confirmations += 1
                     stream.last_line = line
-                    stream.last_used = self._tick
                     if stream.confirmations >= _TRAIN_THRESHOLD:
                         out = self._advance(stream, line)
                     return out
@@ -81,11 +79,15 @@ class StreamPrefetcher:
                 stream.confirmations = 1
                 stream.last_line = line
                 stream.frontier = line + direction
-                stream.last_used = self._tick
                 return out
 
         self._allocate(line)
         return out
+
+    def _touch(self, slot: int) -> None:
+        """Move ``slot`` to the most-recently-used end of the LRU order."""
+        del self._lru[slot]
+        self._lru[slot] = None
 
     def _advance(self, stream: _Stream, line: int) -> list[int]:
         cfg = self.config
@@ -115,13 +117,15 @@ class StreamPrefetcher:
             direction=1,
             confirmations=0,
             frontier=line + 1,
-            last_used=self._tick,
         )
         if len(self._streams) >= self.config.nstreams:
-            victim = min(range(len(self._streams)),
-                         key=lambda i: self._streams[i].last_used)
-            self._streams[victim] = stream
+            # Replace the least recently used stream, keeping its slot
+            # (slot order is the match priority in observe()).
+            slot = next(iter(self._lru))
+            self._streams[slot] = stream
+            self._touch(slot)
         else:
+            self._lru[len(self._streams)] = None
             self._streams.append(stream)
 
     @property

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 from repro.coding import pipeline, registry, zerocache
 from repro.coding.bitops import bytes_to_bits
+from repro.coding.cafo import CAFOCode
+from repro.coding.reference import ReferenceCAFO
 
 MAX_EXAMPLES = 25
 
@@ -93,6 +95,43 @@ class TestBackendsAgree:
             pipeline.encode_trace(scheme, lines, impl="reference"),
             pipeline.encode_trace(scheme, lines, impl="numpy"),
         )
+
+
+@pytest.mark.parametrize("iterations", [2, 4, None])
+class TestCAFOSolverAgrees:
+    """The packed-byte CAFO solver against the nested-loop oracle.
+
+    Covers the convergent ``iterations=None`` variant, which has no
+    registry entry and so is not reached through ``TestBackendsAgree``.
+    """
+
+    @given(lines=line_payloads)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_bit_exact(self, iterations, lines):
+        fast = CAFOCode(iterations=iterations)
+        ref = ReferenceCAFO(iterations=iterations)
+        blocks = _blocks(lines, 64)
+        assert np.array_equal(fast.encode_blocks(blocks),
+                              ref.encode_blocks(blocks))
+        assert np.array_equal(fast.count_zeros(blocks),
+                              ref.count_zeros(blocks))
+        assert np.array_equal(fast.count_zeros_bytes(lines),
+                              ref.count_zeros_bytes(lines))
+        assert np.array_equal(
+            ref.decode_blocks(fast.encode_blocks(blocks)), blocks
+        )
+
+    def test_low_weight_lines(self, iterations):
+        # Sparse squares take the most flips and, for the convergent
+        # variant, the most sweeps.
+        rng = np.random.default_rng(14)
+        lines = (rng.random((64, 64)) < 0.1).astype(np.uint8) * rng.integers(
+            0, 256, size=(64, 64), dtype=np.uint8
+        )
+        fast = CAFOCode(iterations=iterations)
+        ref = ReferenceCAFO(iterations=iterations)
+        assert np.array_equal(fast.count_zeros_bytes(lines),
+                              ref.count_zeros_bytes(lines))
 
 
 class TestZeroTablesImplIndependent:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.coding import CAFOCode
-from repro.coding.bitops import zeros_in_bits
+from repro.coding.bitops import bytes_to_bits, zeros_in_bits
+from repro.coding.reference import ReferenceCAFO
 
 blocks64 = arrays(np.uint8, (64,), elements=st.integers(min_value=0, max_value=1))
 
@@ -79,3 +80,67 @@ class TestConfiguration:
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError):
             CAFOCode(iterations=0)
+
+
+# Edge squares as 8 row bytes (row i = byte i, MSB = column 0), with the
+# zeros CAFO2 sends for each.
+EDGE_SQUARES = {
+    "all-0x00": ([0x00] * 8, 8),  # every row flips: 8 flag zeros
+    "all-0xFF": ([0xFF] * 8, 0),  # nothing flips
+    "checkerboard": ([0xAA, 0x55] * 4, 32),  # 4 ones per row and column
+    "one-hot-row": ([0xFF] + [0x00] * 7, 7),  # rows 1..7 flip
+    # Every row flips (one 1 each), then column 0 (all zeros) flips.
+    "one-hot-column": ([0x80] * 8, 9),
+    "single-bit": ([0x01] + [0x00] * 7, 9),
+}
+
+
+class TestEdgeSquares:
+    """The packed solver on degenerate squares, against the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SQUARES))
+    def test_cafo2_zero_count(self, name):
+        rows, zeros = EDGE_SQUARES[name]
+        data = np.array([rows], dtype=np.uint8)
+        assert CAFOCode(iterations=2).count_zeros_bytes(data)[0] == zeros
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 4, None])
+    def test_matches_reference(self, iterations):
+        lines = np.array(
+            [rows for rows, _ in EDGE_SQUARES.values()], dtype=np.uint8
+        )
+        blocks = bytes_to_bits(lines)
+        fast = CAFOCode(iterations=iterations)
+        ref = ReferenceCAFO(iterations=iterations)
+        assert np.array_equal(fast.encode_blocks(blocks),
+                              ref.encode_blocks(blocks))
+        assert np.array_equal(fast.count_zeros(blocks),
+                              ref.count_zeros(blocks))
+        assert np.array_equal(fast.count_zeros_bytes(lines),
+                              ref.count_zeros_bytes(lines))
+        # All edge squares in one line: per-line sums agree too.
+        line = lines.reshape(1, -1)
+        assert np.array_equal(fast.count_zeros_bytes(line),
+                              ref.count_zeros_bytes(line))
+
+    @pytest.mark.parametrize("iterations", [2, 4, None])
+    def test_round_trip(self, iterations):
+        lines = np.array(
+            [rows for rows, _ in EDGE_SQUARES.values()], dtype=np.uint8
+        )
+        blocks = bytes_to_bits(lines)
+        code = CAFOCode(iterations=iterations)
+        words = code.encode_blocks(blocks)
+        assert np.array_equal(code.decode_blocks(words), blocks)
+        assert np.array_equal(zeros_in_bits(words), code.count_zeros(blocks))
+
+    def test_shapes(self):
+        code = CAFOCode(iterations=2)
+        empty = np.zeros((0, 64), dtype=np.uint8)
+        assert code.count_zeros_bytes(empty).shape == (0,)
+        assert code.encode_blocks(np.zeros((0, 64), np.uint8)).shape == (0, 80)
+        # Leading axes are kept: (2, 3) lines of 16 bytes -> (2, 3).
+        data = np.full((2, 3, 16), 0xFF, dtype=np.uint8)
+        assert code.count_zeros_bytes(data).shape == (2, 3)
+        with pytest.raises(ValueError):
+            code.count_zeros_bytes(np.zeros((1, 12), dtype=np.uint8))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.system import Cache
+from repro.system import cache as cache_module
 
 
 class TestBasics:
@@ -125,3 +126,88 @@ class TestProperties:
         for addr in lines:
             assert cache.access(int(addr), False).hit
         assert cache.hits == hits_before + len(lines)
+
+
+class TestWarm:
+    """``warm`` builds the state sequential ``fill`` calls would leave."""
+
+    @staticmethod
+    def _contents(cache):
+        # Per set: lines oldest first (LRU order) with their dirty flags.
+        return [list(ways.items()) for ways in cache._sets]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_sequential_fills(self, data):
+        ways = data.draw(st.integers(min_value=1, max_value=4))
+        sets = data.draw(st.sampled_from([1, 2, 4, 8]))
+        line_bytes = data.draw(st.sampled_from([32, 64]))
+        capacity = ways * sets
+        lines = data.draw(st.lists(
+            st.integers(min_value=0, max_value=1 << 10), unique=True,
+            min_size=capacity + 1, max_size=4 * capacity,
+        ))
+        n = len(lines)
+        offsets = data.draw(st.lists(
+            st.integers(min_value=0, max_value=line_bytes - 1),
+            min_size=n, max_size=n,
+        ))
+        dirty = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        addresses = [
+            line * line_bytes + off for line, off in zip(lines, offsets)
+        ]
+
+        filled = Cache(capacity * line_bytes, ways, line_bytes)
+        for address, flag in zip(addresses, dirty):
+            filled.fill(address, dirty=flag)
+        warmed = Cache(capacity * line_bytes, ways, line_bytes)
+        warmed.warm(np.array(addresses), np.array(dirty))
+
+        assert self._contents(warmed) == self._contents(filled)
+        assert warmed.writebacks == filled.writebacks
+        assert (warmed.hits, warmed.misses) == (filled.hits, filled.misses)
+
+        # Later traffic sees the same LRU order: same hits, same victims.
+        later = data.draw(st.lists(
+            st.tuples(st.booleans(),
+                      st.integers(min_value=0, max_value=(1 << 10) * 64),
+                      st.booleans()),
+            max_size=3 * capacity,
+        ))
+        for is_fill, address, flag in later:
+            if is_fill:
+                assert warmed.fill(address, flag) == filled.fill(address, flag)
+            else:
+                assert warmed.access(address, flag) == filled.access(
+                    address, flag
+                )
+        assert self._contents(warmed) == self._contents(filled)
+        assert warmed.writebacks == filled.writebacks
+
+    def test_matches_sequential_fills_across_batches(self):
+        # More lines than one warm() batch, so survivors depend on
+        # lines counted in earlier batches.
+        n = 3 * cache_module._WARM_BATCH + 5
+        rng = np.random.default_rng(7)
+        addresses = rng.choice(1 << 20, size=n, replace=False) * 64
+        dirty = rng.random(n) < 0.4
+        filled = Cache(64 * 4 * 64, 4)
+        for address, flag in zip(addresses.tolist(), dirty.tolist()):
+            filled.fill(address, dirty=flag)
+        warmed = Cache(64 * 4 * 64, 4)
+        warmed.warm(addresses, dirty)
+        assert self._contents(warmed) == self._contents(filled)
+        assert warmed.writebacks == filled.writebacks
+
+    def test_short_sequence_leaves_sets_partly_filled(self):
+        cache = Cache(4 * 64, 2)  # two sets, two ways
+        cache.warm(np.array([0, 128, 64]), np.array([True, False, True]))
+        assert self._contents(cache) == [[(0, True), (128, False)],
+                                         [(64, True)]]
+        assert cache.writebacks == 0
+
+    def test_warming_a_non_empty_cache_raises(self):
+        cache = Cache(1024, 2)
+        cache.fill(0)
+        with pytest.raises(ValueError, match="empty"):
+            cache.warm(np.array([64]), np.array([False]))

@@ -1,5 +1,8 @@
 """Tests for the stream prefetcher."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.system import PrefetcherConfig, StreamPrefetcher
 
 
@@ -72,6 +75,53 @@ class TestLimits:
         issued = pf.observe(128)  # A still trained enough to advance
         assert pf.active_streams == 2
         assert issued or pf.observe(192)
+
+
+class _MinTickPrefetcher(StreamPrefetcher):
+    """Checks each victim against min() over last-use ticks.
+
+    Every observe() uses (or allocates) exactly one slot, so ticks are
+    unique and the slot with the oldest tick is the one to replace.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.clock = 0
+        self.ticks = {}
+
+    def _stamp(self, slot):
+        self.clock += 1
+        self.ticks[slot] = self.clock
+
+    def _touch(self, slot):
+        super()._touch(slot)
+        self._stamp(slot)
+
+    def _allocate(self, line):
+        full = len(self._streams) >= self.config.nstreams
+        slot = min(self.ticks, key=self.ticks.get) if full else len(
+            self._streams
+        )
+        super()._allocate(line)
+        # No stream sat within the match window of ``line``, so only the
+        # new stream can have it as its last line.
+        assert self._streams[slot].last_line == line
+        assert self._streams[slot].confirmations == 0
+        if not full:
+            self._stamp(slot)
+
+
+class TestLRUOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.lists(st.integers(min_value=0, max_value=400), max_size=200),
+    )
+    def test_victim_is_oldest_tick(self, nstreams, lines):
+        pf = _MinTickPrefetcher(PrefetcherConfig(nstreams=nstreams))
+        for line in lines:
+            pf.observe(line * 64)
+        assert pf.active_streams <= nstreams
 
 
 class TestTable2Configs:
