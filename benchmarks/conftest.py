@@ -10,7 +10,17 @@ minutes and subsequent ones take seconds.  Set ``REPRO_JOBS`` to fan
 cache misses out over a process pool.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The speedup gates time the oracles in tests/oracles; make the repo
+# root importable however pytest was launched (``python -m pytest``
+# adds the working directory, a bare ``pytest`` does not).
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 @pytest.fixture

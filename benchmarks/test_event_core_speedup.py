@@ -1,41 +1,27 @@
 """Gate: the event core actually pays on end-to-end simulation.
 
-``REPRO_NO_EVENT_CACHE=1`` swaps the whole caching stack out — the
-lockstep driver replaces the cross-channel event heap, and the
-controller recomputes its FR-FCFS candidate list from scratch on every
-call (see DESIGN.md, "Event core").  That path exists as the
-equivalence oracle, and the hypothesis suite proves the two produce
-byte-identical command logs; this gate proves the cached path is not
-just equal but *faster*, on the same end-to-end GUPS kernel the
-``sim.run_spec.gups`` benchmark times.  1.5x is the floor the ISSUE
-acceptance demands; the measured gap is larger (the oracle visits
-every populated cycle on every channel).
+The lockstep oracle (``tests/oracles/lockstep.py``) swaps the whole
+caching stack out — the lockstep loop replaces the cross-channel event
+heap, and every controller recomputes its FR-FCFS candidate list from
+scratch on every call (see DESIGN.md, "Event core").  That path exists
+as the equivalence oracle, and the hypothesis suite proves the two
+produce byte-identical command logs; this gate proves the production
+path is not just equal but *faster*, on the same end-to-end GUPS kernel
+the ``sim.run_spec.gups`` benchmark times.  1.5x is the floor; the
+measured gap is larger (the oracle visits every populated cycle on
+every channel).
 """
-
-import os
 
 import pytest
 
 from repro.bench import get, measure
-from repro.controller.controller import NO_EVENT_CACHE_ENV
+from tests.oracles.lockstep import lockstep_oracle
 
 MIN_SPEEDUP = 1.5
 ATTEMPTS = 3  # whole-comparison retries before failing
 
 
-@pytest.fixture
-def clean_env():
-    saved = os.environ.pop(NO_EVENT_CACHE_ENV, None)
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(NO_EVENT_CACHE_ENV, None)
-        else:
-            os.environ[NO_EVENT_CACHE_ENV] = saved
-
-
-def test_event_core_speeds_up_end_to_end_run(clean_env):
+def test_event_core_speeds_up_end_to_end_run():
     bench = get("sim.run_spec.gups")
     kernel = bench.build()
 
@@ -43,12 +29,9 @@ def test_event_core_speeds_up_end_to_end_run(clean_env):
     for _ in range(ATTEMPTS):
         t_cached = measure(kernel, repeats=3, warmup=1,
                            inner_ops=bench.inner_ops).min_ns
-        os.environ[NO_EVENT_CACHE_ENV] = "1"
-        try:
+        with lockstep_oracle():
             t_oracle = measure(kernel, repeats=3, warmup=1,
                                inner_ops=bench.inner_ops).min_ns
-        finally:
-            del os.environ[NO_EVENT_CACHE_ENV]
         speedup = t_oracle / t_cached
         best = max(best, speedup)
         if speedup >= MIN_SPEEDUP:
@@ -59,15 +42,12 @@ def test_event_core_speeds_up_end_to_end_run(clean_env):
     )
 
 
-def test_cached_and_oracle_results_agree(clean_env):
+def test_cached_and_oracle_results_agree():
     # The gate times the same computation twice; prove it IS the same.
     kernel = get("sim.run_spec.gups").build()
     cached = kernel()
-    os.environ[NO_EVENT_CACHE_ENV] = "1"
-    try:
+    with lockstep_oracle():
         oracle = kernel()
-    finally:
-        del os.environ[NO_EVENT_CACHE_ENV]
     assert cached.cycles == oracle.cycles
     assert cached.scheme_counts == oracle.scheme_counts
     assert cached.mean_read_latency == oracle.mean_read_latency

@@ -12,13 +12,12 @@ Groups:
     signaling) plus the raw popcount primitive and its legacy
     unpack-to-bits formulation, kept as the regression reference for the
     ``bitops`` fast path.  ``coding.encode_trace.<scheme>`` times the
-    batched ``encode_lines`` kernel through the default (numpy) backend;
-    ``coding.encode_trace_reference.<scheme>`` times the pure-Python
-    oracle on the same corpus — the pair is what
-    ``benchmarks/test_batched_codec_speedup.py`` gates at >=3x.
+    batched ``encode_lines`` kernel, which
+    ``benchmarks/test_batched_codec_speedup.py`` gates at >=3x over the
+    pure-Python oracle on the same corpus.
 ``dram.*`` / ``controller.*`` / ``core.*``
-    The cycle-level channel tick loop, FR-FCFS candidate scheduling,
-    and the MiL look-ahead decision.
+    The cycle-level channel tick loop, the scheduler's (pick, wake)
+    query, and the MiL look-ahead decision.
 ``audit.*``
     The protocol auditor's log replay — the cost a run pays only when
     ``--audit`` is on.
@@ -82,34 +81,33 @@ for _scheme in _HEAVY_SCHEMES:
     _register_line_zeros(_scheme, smoke=False)
 
 
-# Batched encode kernels, one entry per (scheme, backend).  The corpus
-# is smaller than _LINES because the reference oracle is per-element
-# Python — the pair must share a corpus so the >=3x speedup gate in
-# benchmarks/test_batched_codec_speedup.py compares like with like.
+# Batched encode kernels, one entry per scheme.  The corpus is smaller
+# than _LINES because the >=3x gate in
+# benchmarks/test_batched_codec_speedup.py times the per-element Python
+# oracle on the same corpus.
 _TRACE_LINES = 256
 _CODEC_SCHEMES = ("dbi", "milc", "3lwc", "cafo2", "cafo4", "lwc12")
 
 
-def _register_encode_trace(scheme: str, impl: str, smoke: bool) -> None:
-    suffix = "" if impl == "numpy" else f"_{impl}"
+def _register_encode_trace(scheme: str, smoke: bool) -> None:
     @benchmark(
-        f"coding.encode_trace{suffix}.{scheme}",
-        params={"lines": _TRACE_LINES, "scheme": scheme, "impl": impl},
+        f"coding.encode_trace.{scheme}",
+        # "impl" stays in the params so baseline entries keep matching.
+        params={"lines": _TRACE_LINES, "scheme": scheme, "impl": "numpy"},
         smoke=smoke,
         inner_ops=_TRACE_LINES,
         description=f"batched {scheme} encode_lines kernel over "
-                    f"{_TRACE_LINES} cache lines ({impl} backend)",
+                    f"{_TRACE_LINES} cache lines",
     )
-    def _factory(scheme=scheme, impl=impl):
+    def _factory(scheme=scheme):
         from ..coding.pipeline import encode_trace
 
         data = corpus.lines(_TRACE_LINES)
-        return lambda: encode_trace(scheme, data, impl=impl)
+        return lambda: encode_trace(scheme, data)
 
 
 for _scheme in _CODEC_SCHEMES:
-    _register_encode_trace(_scheme, "numpy", smoke=_scheme in _SMOKE_SCHEMES)
-    _register_encode_trace(_scheme, "reference", smoke=False)
+    _register_encode_trace(_scheme, smoke=_scheme in _SMOKE_SCHEMES)
 
 
 @benchmark(
@@ -277,7 +275,7 @@ def _channel_tick():
 def _queued_controller():
     """A ChannelController with a populated read queue and open rows.
 
-    Shared fixture for the FR-FCFS and decision-logic benchmarks: 32
+    Shared fixture for the scheduler and decision-logic benchmarks: 32
     mapped reads spread over ranks/groups/banks, half of them row hits.
     """
     from ..controller.controller import ChannelController
@@ -321,25 +319,6 @@ def _queued_controller():
             )
             opened.add(key)
     return controller, requests
-
-
-@benchmark(
-    "controller.frfcfs.schedule",
-    params={"queue_depth": 32},
-    smoke=True,
-    description="FR-FCFS candidate generation + pick over a 32-deep queue",
-)
-def _frfcfs():
-    controller, requests = _queued_controller()
-    scheduler = controller.scheduler
-    entries = controller.read_queue.oldest_first()
-    now = 200
-
-    def schedule():
-        cands = scheduler.candidates(entries, now)
-        return scheduler.pick(cands, now)
-
-    return schedule
 
 
 @benchmark(

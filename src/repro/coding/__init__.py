@@ -20,12 +20,9 @@ lives in :mod:`~repro.coding.registry`; new codecs self-register with
 surface picks them up automatically.  Zero tables for repeated traces
 are served by the campaign-wide :mod:`~repro.coding.zerocache`.
 
-Every registered codec additionally carries a *backend slot*: the
-vectorised batched kernels (``impl="numpy"``, the default) are
-cross-validated bit-for-bit against the pure-Python oracle in
-:mod:`~repro.coding.reference` (``impl="reference"``), selected
-process-wide via ``REPRO_CODEC_IMPL`` or per call via
-:func:`~repro.coding.registry.codec_for`'s ``impl`` argument.
+Each registered codec has one implementation, the vectorised numpy
+kernel.  The pure-Python oracles that cross-validate those kernels
+bit-for-bit live with the tests, in ``tests/oracles/codecs.py``.
 """
 
 from .base import BlockShapeError, CodingScheme
@@ -54,22 +51,16 @@ from .pipeline import (
     scheme_for,
 )
 from .registry import (
-    DEFAULT_IMPL,
-    IMPL_ENV,
-    KNOWN_IMPLS,
     CodecInfo,
     NoCodecError,
-    active_impl,
     codec_for,
     codec_schemes,
     real_schemes,
-    register_backend,
     register_burst_format,
     register_codec,
     scheme_info,
     scheme_items,
     scheme_names,
-    unregister_backend,
     unregister_scheme,
 )
 from .transition import TransitionSignaling
@@ -105,21 +96,15 @@ __all__ = [
     "raw_line_zeros",
     "scheme_for",
     "CodecInfo",
-    "DEFAULT_IMPL",
-    "IMPL_ENV",
-    "KNOWN_IMPLS",
     "NoCodecError",
-    "active_impl",
     "codec_for",
     "codec_schemes",
     "real_schemes",
-    "register_backend",
     "register_burst_format",
     "register_codec",
     "scheme_info",
     "scheme_items",
     "scheme_names",
-    "unregister_backend",
     "unregister_scheme",
     "ZeroTableCache",
     "global_cache",

@@ -1,7 +1,6 @@
 """FR-FCFS memory controller with write drain and the MiL policy hook."""
 
-from .controller import NO_EVENT_CACHE_ENV, AlwaysScheme, ChannelController
-from .frfcfs import CandidateCommand, FRFCFSScheduler
+from .controller import AlwaysScheme, ChannelController
 from .queues import QueueFullError, TransactionQueue
 from .request import MemoryRequest
 from .writedrain import WriteDrainPolicy
@@ -9,11 +8,8 @@ from .writedrain import WriteDrainPolicy
 __all__ = [
     "AlwaysScheme",
     "ChannelController",
-    "CandidateCommand",
-    "FRFCFSScheduler",
     "QueueFullError",
     "TransactionQueue",
     "MemoryRequest",
-    "NO_EVENT_CACHE_ENV",
     "WriteDrainPolicy",
 ]

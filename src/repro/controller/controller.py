@@ -19,31 +19,17 @@ The baseline :class:`AlwaysScheme` policy always answers ``"dbi"``.
 
 from __future__ import annotations
 
-import os
-
 from ..coding.registry import scheme_info
 from ..dram.channel import DRAMChannel
 from ..dram.commands import CommandType, Geometry
 from ..dram.refresh import RefreshScheduler
 from ..dram.timing import TimingParams
-from .frfcfs import FRFCFSScheduler
 from .queues import TransactionQueue
 from .readyindex import ReadyIndex
 from .request import MemoryRequest
 from .writedrain import WriteDrainPolicy
 
-__all__ = ["AlwaysScheme", "ChannelController", "NO_EVENT_CACHE_ENV"]
-
-# Kill switch for the scheduling-loop caches (the ready-time index and
-# the wake-time cache).  Both follow every state change (enqueue,
-# issue, refresh, drain flip), so disabling them must never alter a
-# single issued command — tests/controller/test_event_cache.py holds
-# the two modes to byte-identical, auditor-clean command logs.
-NO_EVENT_CACHE_ENV = "REPRO_NO_EVENT_CACHE"
-
-
-def _event_cache_enabled() -> bool:
-    return os.environ.get(NO_EVENT_CACHE_ENV, "") not in ("1", "true", "yes")
+__all__ = ["AlwaysScheme", "ChannelController"]
 
 
 class AlwaysScheme:
@@ -93,7 +79,6 @@ class ChannelController:
             self.timing, geometry, keep_log=keep_log,
             keep_cmd_log=keep_cmd_log,
         )
-        self.scheduler = FRFCFSScheduler(self.channel)
         self.refresh = (
             RefreshScheduler(self.timing, geometry.ranks)
             if refresh_enabled
@@ -118,11 +103,8 @@ class ChannelController:
         # re-derived only for banks marked dirty by an enqueue, an issue
         # or a refresh (see repro.controller.readyindex).  Every state
         # change also bumps ``_state_version``; a query at an unchanged
-        # version is answered from the index's stored ready times.
-        # REPRO_NO_EVENT_CACHE=1 recomputes everything every call via
-        # the full-scan FRFCFSScheduler.candidates oracle, for A/B-ing
-        # the index against the protocol auditor.
-        self._cache_enabled = _event_cache_enabled()
+        # version is answered from the index's stored ready times.  The
+        # full-scan oracle it must match lives in tests/oracles/fullscan.py.
         self._state_version = 0
         self._ready_index = ReadyIndex(self.channel)
         # (pick, wake) of the last query and the (state version, cycle)
@@ -369,20 +351,11 @@ class ChannelController:
             if self._probe is not None:
                 self._probe.drain_transition(now, draining)
 
-    def _active_entries(self, now: int) -> list[MemoryRequest]:
-        self._sync_drain(now)
-        queue = self.write_queue if self.draining_now else self.read_queue
-        return queue.oldest_first()
-
-    def _candidates(self, now: int) -> list:
-        """Full-scan FR-FCFS candidate list (the oracle path)."""
-        return self.scheduler.candidates(self._active_entries(now), now)
-
     def _schedule_query(self, now: int):
         """``(pick, wake)`` for cycle ``now`` from the ready-time index.
 
-        Equivalent to ``scheduler.pick(self._candidates(now), now)``
-        plus ``scheduler.next_wakeup(...)``.  Memoised per (state
+        Equivalent to a full FR-FCFS scan of the active queue (the
+        oracle in tests/oracles/fullscan.py).  Memoised per (state
         version, cycle), so ``step`` and ``next_event`` at the same
         cycle share one answer; at a later cycle with the version
         unchanged the index answers from its stored ready times.
@@ -432,8 +405,7 @@ class ChannelController:
         if now < self.next_cmd_cycle:
             return False
         if (
-            self._cache_enabled
-            and self._wake_version == self._state_version
+            self._wake_version == self._state_version
             and self._wake_time is not None
             and now < self._wake_time
         ):
@@ -448,10 +420,7 @@ class ChannelController:
             self._issue_refresh_action(cmd, rank, group, bank, now)
             return True
 
-        if self._cache_enabled:
-            pick, _ = self._schedule_query(now)
-        else:
-            pick = self.scheduler.pick(self._candidates(now), now)
+        pick, _ = self._schedule_query(now)
 
         if pick is None:
             action = self._idle_refresh_action(now)
@@ -517,8 +486,7 @@ class ChannelController:
         """
         floor = max(now + 1, self.next_cmd_cycle)
         if (
-            self._cache_enabled
-            and self._wake_version == self._state_version
+            self._wake_version == self._state_version
             and self._wake_time is not None
             and now < self._wake_time
         ):
@@ -533,10 +501,7 @@ class ChannelController:
             if action is not None:
                 times.append(action[4])
         if self.has_pending:
-            if self._cache_enabled:
-                _, wake = self._schedule_query(now)
-            else:
-                wake = self.scheduler.next_wakeup(self._candidates(now))
+            _, wake = self._schedule_query(now)
             if wake is not None:
                 times.append(wake)
         if not times:

@@ -13,7 +13,8 @@ where the shared bound depends only on rank, bank-group and bus
 registers, and PRECHARGE has no shared term at all.
 
 Each bank contributes at most one candidate per queue direction, the
-same reduction the full-scan :class:`~.frfcfs.FRFCFSScheduler` makes:
+same reduction a full FR-FCFS scan of the queue makes (that scan is the
+test oracle in ``tests/oracles/fullscan.py``):
 
 * kind 0 — column command for the oldest request hitting the open row,
   ordered by the FR-FCFS ``(arrival, serial)`` key;
@@ -33,18 +34,32 @@ state unchanged is answered from them without recomputation
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import itemgetter
 
 from ..dram.channel import DRAMChannel
 from ..dram.commands import CommandType
-from .frfcfs import CandidateCommand
+from .request import MemoryRequest
 
-__all__ = ["ReadyIndex"]
+__all__ = ["CandidateCommand", "ReadyIndex"]
 
 _COLUMN, _ACTIVATE, _PRECHARGE = 0, 1, 2
 _order_key = itemgetter(0)
 _ACT, _PRE = CommandType.ACTIVATE, CommandType.PRECHARGE
 _READ, _WRITE = CommandType.READ, CommandType.WRITE
+
+
+@dataclass(slots=True)
+class CandidateCommand:
+    """The command the scheduler picked: what, where, and for whom."""
+
+    cmd: CommandType
+    rank: int
+    group: int
+    bank: int
+    row: int
+    earliest: int
+    request: MemoryRequest | None  # None for PRE on behalf of a conflict
 
 
 class ReadyIndex:
@@ -126,8 +141,8 @@ class ReadyIndex:
 
         ``pick`` is the command FR-FCFS issues at ``now`` (or None) and
         ``wake`` the earliest cycle >= ``now`` any candidate is ready
-        (None when the direction has no candidates), exactly as
-        ``FRFCFSScheduler.pick``/``next_wakeup`` over the full scan.
+        (None when the direction has no candidates), exactly as the
+        full-scan FR-FCFS ``pick``/``next_wakeup`` would answer.
         """
         if self._view_dir == is_write:
             # Nothing this direction reads has moved since the stored

@@ -21,24 +21,17 @@ The engine is event-driven: a cross-channel
 :class:`~repro.system.events.EventQueue` holds completion times, core
 arm times, and per-controller wakes, and the main loop jumps from one
 populated cycle to the next — an idle channel is never polled while
-another streams a burst.  Setting ``REPRO_NO_EVENT_CACHE=1`` falls back
-to the original lockstep loop (every core and every controller visited
-at every global event time), which doubles as the equivalence oracle:
-both paths must produce byte-identical command logs (see DESIGN.md,
-"Event core").
+another streams a burst.  The original lockstep loop (every core and
+every controller visited at every global event time) is kept with the
+tests as the equivalence oracle, ``tests/oracles/lockstep.py``: both
+must produce byte-identical command logs (see DESIGN.md, "Event core").
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from dataclasses import dataclass, field
 
-from ..controller.controller import (
-    AlwaysScheme,
-    ChannelController,
-    NO_EVENT_CACHE_ENV,
-)
+from ..controller.controller import AlwaysScheme, ChannelController
 from ..controller.request import MemoryRequest
 from ..dram.address import AddressMapper
 from ..workloads.trace import MemoryTrace
@@ -46,10 +39,6 @@ from .events import EventQueue
 from .machine import SystemConfig
 
 __all__ = ["SimulationResult", "simulate", "accrue_pending_cycles"]
-
-
-def _event_core_enabled() -> bool:
-    return os.environ.get(NO_EVENT_CACHE_ENV, "") not in ("1", "true", "yes")
 
 
 @dataclass
@@ -143,16 +132,15 @@ class _SimCore:
     """The simulation engine: cores, controllers, and the event loop.
 
     All mutable loop state lives in slots; the hot methods bind their
-    attributes to locals once per call.  Two drivers share every
-    state-transition method: :meth:`run_event` (the cross-channel event
-    heap) and :meth:`run_lockstep` (the original
-    advance-everything-to-the-global-minimum loop, kept verbatim as the
-    ``REPRO_NO_EVENT_CACHE=1`` oracle).
+    attributes to locals once per call.  :meth:`run_event` (the
+    cross-channel event heap) drives the state-transition methods; the
+    lockstep oracle in ``tests/oracles/lockstep.py`` drives the same
+    methods with the original advance-everything loop.
     """
 
     __slots__ = (
         "cores", "controllers", "mapper", "mlp", "address_mask",
-        "completion_heap", "inflight", "pending_cycles",
+        "inflight", "pending_cycles",
         "demand_reads", "read_latency_sum", "dropped_prefetches",
         "last_completion", "now", "events", "waiters", "done_cores",
     )
@@ -163,7 +151,6 @@ class _SimCore:
         self.mapper = mapper
         self.mlp = config.mlp
         self.address_mask = mapper.capacity_bytes - 1
-        self.completion_heap: list[tuple[int, int]] = []  # (finish, serial)
         self.inflight: dict[int, tuple[MemoryRequest, int]] = {}
         self.pending_cycles = [0] * config.channels
         self.demand_reads = 0
@@ -181,7 +168,7 @@ class _SimCore:
         self.done_cores = sum(1 for core in self.cores if not core.records)
 
     # ------------------------------------------------------------------
-    # Core-side transitions (shared by both drivers)
+    # Core-side transitions (shared with the lockstep oracle)
     # ------------------------------------------------------------------
     def _issue_from_core(self, core_id: int, core: _CoreState, now: int,
                          dirty) -> bool:
@@ -189,7 +176,7 @@ class _SimCore:
 
         ``dirty`` is a set collecting the channels enqueued into this
         round (the event driver steps exactly those; the lockstep
-        driver passes a throwaway).
+        oracle passes a throwaway).
         """
         rec = core.records[core.index]
         if now < core.earliest:
@@ -306,8 +293,8 @@ class _SimCore:
     def _collect_completions(self, mc, push) -> None:
         """Fold one controller's completed requests into the bookkeeping.
 
-        ``push(finish, serial)`` schedules the retire — a heap push for
-        the lockstep driver, an event push for the event driver.
+        ``push(finish, serial)`` schedules the retire — an event push
+        for the event driver, a heap push for the lockstep oracle.
         """
         for request in mc.drain_completions():
             finish = request.finish_cycle
@@ -403,83 +390,6 @@ class _SimCore:
             attempt = set(armed)
         self.now = now
 
-    # ------------------------------------------------------------------
-    # Lockstep driver (the REPRO_NO_EVENT_CACHE oracle)
-    # ------------------------------------------------------------------
-    def run_lockstep(self, max_cycles: int) -> None:
-        """Advance every core and controller to each global event time.
-
-        This is the original main loop, preserved as the equivalence
-        oracle for the event-heap driver: under
-        ``REPRO_NO_EVENT_CACHE=1`` the controller also recomputes its
-        candidate list from scratch each call, so the pair proves the
-        whole caching stack transparent (byte-identical command logs).
-        """
-        cores = self.cores
-        controllers = self.controllers
-        completion_heap = self.completion_heap
-        inflight = self.inflight
-        mlp = self.mlp
-
-        def push(finish: int, serial: int) -> None:
-            heapq.heappush(completion_heap, (finish, serial))
-
-        dirty: set = set()  # unused by this driver; throwaway sink
-        now = 0
-        while now < max_cycles:
-            # 1. Retire completions whose data has arrived.
-            ready: list = []
-            while completion_heap and completion_heap[0][0] <= now:
-                ready.append(heapq.heappop(completion_heap)[1])
-            if ready:
-                self._retire_completions(ready, set())
-
-            # 2. Let every core push work into the controllers.
-            for core_id, core in enumerate(cores):
-                while core.index < len(core.records) and self._issue_from_core(
-                    core_id, core, now, dirty
-                ):
-                    pass
-
-            # 3. One scheduling step per controller.
-            stepped = [mc.step(now) for mc in controllers]
-
-            # 4. Collect newly scheduled transfers into the heap.
-            for mc in controllers:
-                self._collect_completions(mc, push)
-
-            if self._finished():
-                break
-
-            # 5. Jump to the next event.
-            candidates: list[int] = []
-            if completion_heap:
-                candidates.append(completion_heap[0][0])
-            for mc, did in zip(controllers, stepped):
-                nxt = (now + 1) if did else mc.next_event(now)
-                if nxt is not None:
-                    candidates.append(nxt)
-            for core in cores:
-                if core.index >= len(core.records):
-                    continue
-                if core.wait_completion_of is not None:
-                    continue  # completion heap covers the wake-up
-                rec = core.records[core.index]
-                if not rec.is_write and not rec.is_prefetch:
-                    if core.outstanding >= mlp:
-                        continue  # a completion will free a slot
-                candidates.append(max(now + 1, core.earliest))
-
-            if not candidates:
-                self.now = now
-                raise self._deadlock()
-            nxt = max(now + 1, min(candidates))
-            accrue_pending_cycles(
-                controllers, self.pending_cycles, now, nxt
-            )
-            now = nxt
-        self.now = now
-
 
 def simulate(
     trace: MemoryTrace,
@@ -530,13 +440,10 @@ def simulate(
     policy_name = getattr(policy, "scheme", None) or type(policy).__name__
 
     engine = _SimCore(trace, config, controllers, mapper)
-    if _event_core_enabled():
-        engine.run_event(max_cycles)
-    else:
-        engine.run_lockstep(max_cycles)
+    engine.run_event(max_cycles)
 
     events = engine.events
-    if telemetry is not None and events is not None:
+    if telemetry is not None:
         telemetry.sim_probe().event_queue(events.pops, events.stale)
 
     cycles = max(engine.last_completion, engine.now)
@@ -554,8 +461,8 @@ def simulate(
             "trace_records": trace.total_records,
             "forwarded_reads": sum(mc.forwarded_reads for mc in controllers),
             "coalesced_writes": sum(mc.coalesced_writes for mc in controllers),
-            "event_queue_pops": events.pops if events is not None else 0,
-            "event_queue_stale": events.stale if events is not None else 0,
+            "event_queue_pops": events.pops,
+            "event_queue_stale": events.stale,
             "sched_banks_rederived": sum(
                 mc.sched_banks_rederived for mc in controllers
             ),

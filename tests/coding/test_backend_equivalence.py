@@ -1,19 +1,20 @@
-"""Backends are interchangeable: reference and numpy agree bit-exactly.
+"""The production codecs agree bit-exactly with the pure-Python oracles.
 
-The backend slot (``repro.coding.registry``) only works if every
-implementation of a scheme is indistinguishable from the outside —
-same codewords, same zero counts, same decodes.  The pure-Python
-oracle in ``repro.coding.reference`` was written independently from
-the vectorised kernels precisely so this suite can catch a bug in
-either: hypothesis sweeps arbitrary payloads through both backends of
-every registered scheme and requires bit-exact agreement on every
-public surface, including decoding each other's codewords.
+Each registered codec has one production implementation, the
+vectorised numpy kernel.  The oracles in ``tests/oracles/codecs.py``
+were written independently from those kernels precisely so this suite
+can catch a bug in either: hypothesis sweeps arbitrary payloads through
+the oracle and the production codec of every registered scheme and
+requires bit-exact agreement on every public surface, including
+decoding each other's codewords.
 
-The zero-table cache tests pin the consequence the campaign layer
-relies on: tables (and therefore cache entries and run summaries) are
-byte-identical whatever ``REPRO_CODEC_IMPL`` says, and cache keys do
-not mention the backend at all.
+The zero-table tests pin the consequence the campaign layer relies on:
+the tables ``precompute_line_zeros`` and ``LazyZeroTables`` build (and
+therefore cache entries and run summaries) are byte-identical to the
+ones the oracles produce.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,11 +24,17 @@ from hypothesis import strategies as st
 from repro.coding import pipeline, registry, zerocache
 from repro.coding.bitops import bytes_to_bits
 from repro.coding.cafo import CAFOCode
-from repro.coding.reference import ReferenceCAFO
+from repro.core.framework import LazyZeroTables
+from tests.oracles.codecs import (
+    ReferenceCAFO,
+    oracle_encode_trace,
+    oracle_for,
+    oracle_line_zeros,
+)
 
 MAX_EXAMPLES = 25
 
-# Schemes that carry a reference backend (all registered codecs do).
+# Every registered codec scheme; each must have an oracle.
 SCHEMES = sorted(registry.codec_schemes())
 
 # Arbitrary whole cache lines: 1-4 lines of 64 bytes.
@@ -39,11 +46,10 @@ line_payloads = st.binary(min_size=64, max_size=256).map(
 
 
 def _backends(scheme):
-    info = registry.scheme_info(scheme)
-    ref = info.codec_impl("reference")
-    fast = info.codec_impl("numpy")
+    ref = oracle_for(scheme)
+    fast = registry.codec_for(scheme)
     assert type(ref) is not type(fast), (
-        f"{scheme}: reference backend resolves to the numpy codec"
+        f"{scheme}: the oracle is the production codec"
     )
     return ref, fast
 
@@ -92,8 +98,8 @@ class TestBackendsAgree:
         rng = np.random.default_rng(2015)
         lines = rng.integers(0, 256, size=(16, 64), dtype=np.uint8)
         assert np.array_equal(
-            pipeline.encode_trace(scheme, lines, impl="reference"),
-            pipeline.encode_trace(scheme, lines, impl="numpy"),
+            oracle_encode_trace(scheme, lines),
+            pipeline.encode_trace(scheme, lines),
         )
 
 
@@ -135,59 +141,18 @@ class TestCAFOSolverAgrees:
 
 
 class TestZeroTablesImplIndependent:
-    def _lines(self):
+    def test_tables_byte_identical_across_impls(self):
+        # raw plus every codec: the production tables, eager and lazy,
+        # against the ones the oracles rebuild, layout and all.
         rng = np.random.default_rng(80)
-        return rng.integers(0, 256, size=(32, 64), dtype=np.uint8)
-
-    def test_tables_byte_identical_across_impls(self, monkeypatch):
-        lines = self._lines()
-        tables = {}
-        for impl in ("reference", "numpy"):
-            monkeypatch.setenv(registry.IMPL_ENV, impl)
-            assert registry.active_impl() == impl
-            tables[impl] = pipeline.precompute_line_zeros(
-                lines, tuple(SCHEMES), cache=False
-            )
-        for scheme in SCHEMES:
-            ref_t, fast_t = tables["reference"][scheme], tables["numpy"][scheme]
-            assert ref_t.dtype == fast_t.dtype
-            assert ref_t.tobytes() == fast_t.tobytes()
-
-    def test_cache_keys_do_not_mention_the_backend(self, monkeypatch):
-        # Populate the cache under one backend, read it under the other:
-        # the second precompute must be pure hits (the same read-only
-        # array objects), proving keys are (digest, scheme) only.
-        lines = self._lines()
-        cache = zerocache.ZeroTableCache()
-        digest = zerocache.lines_digest(lines)
-
-        monkeypatch.setenv(registry.IMPL_ENV, "reference")
-        first = pipeline.precompute_line_zeros(
-            lines, ("dbi", "milc"), digest=digest, cache=cache
-        )
-        monkeypatch.setenv(registry.IMPL_ENV, "numpy")
-        second = pipeline.precompute_line_zeros(
-            lines, ("dbi", "milc"), digest=digest, cache=cache
-        )
-        for scheme in ("dbi", "milc"):
-            assert second[scheme] is first[scheme]
-
-    def test_unknown_impl_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(registry.IMPL_ENV, "cython")
-        with pytest.raises(ValueError):
-            registry.active_impl()
-
-    def test_native_is_not_a_backend(self, monkeypatch, capsys):
-        monkeypatch.setenv(registry.IMPL_ENV, "native")
-        with pytest.raises(ValueError, match="known: ") as excinfo:
-            registry.active_impl()
-        known = str(excinfo.value).split("known: ", 1)[1]
-        assert "'numpy'" in known and "'reference'" in known
-        assert "native" not in known
-
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--codec-impl", "native", "list"])
-        assert exit_info.value.code == 2
-        assert "invalid choice: 'native'" in capsys.readouterr().err
+        lines = rng.integers(0, 256, size=(32, 64), dtype=np.uint8)
+        schemes = ("raw",) + tuple(SCHEMES)
+        tables = pipeline.precompute_line_zeros(lines, schemes, cache=False)
+        lazy = LazyZeroTables(SimpleNamespace(
+            line_data=lines, line_digest=zerocache.lines_digest(lines)
+        ))
+        for scheme in schemes:
+            want = oracle_line_zeros(scheme, lines)
+            for got in (tables[scheme], lazy[scheme]):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.coding import CAFOCode
 from repro.coding.bitops import bytes_to_bits, zeros_in_bits
-from repro.coding.reference import ReferenceCAFO
+from tests.oracles.codecs import ReferenceCAFO
 
 blocks64 = arrays(np.uint8, (64,), elements=st.integers(min_value=0, max_value=1))
 

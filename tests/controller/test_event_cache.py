@@ -1,12 +1,14 @@
 """The scheduling-loop caches must be invisible in the command stream.
 
-``ChannelController`` memoises its FR-FCFS candidate list and its
-next-wake time against a state version counter; any stale read would
-reorder or drop DRAM commands.  These tests run the same request
-schedule with the caches on (default) and off (``REPRO_NO_EVENT_CACHE``)
-and hold the two command logs to *byte identity* — same commands, same
-cycles, same order — with the independent protocol auditor signing off
-on both runs.  This is the gate the optimisation rides behind.
+``ChannelController`` answers FR-FCFS from its ready-time index and
+memoises its next-wake time against a state version counter; any stale
+read would reorder or drop DRAM commands.  These tests run the same
+request schedule through the production controller and through
+``FullScanController`` (``tests/oracles/fullscan.py``: every query a
+full scan, no wake cache) and hold the two command logs to *byte
+identity* — same commands, same cycles, same order — with the
+independent protocol auditor signing off on both runs.  This is the
+gate the optimisation rides behind.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import random
 
 import pytest
 
-from repro.controller import NO_EVENT_CACHE_ENV, ChannelController
+from repro.controller import ChannelController
 from repro.dram import DDR4_3200, DDR4_GEOMETRY
+from tests.oracles.fullscan import FullScanController
 
 from .test_controller import make_request, run_to_completion
 
@@ -33,8 +36,8 @@ def _schedule(seed: int, n: int = 48) -> list[tuple[int, bool]]:
     return schedule
 
 
-def _run(schedule, page_policy: str):
-    mc = ChannelController(
+def _run(schedule, page_policy: str, controller=ChannelController):
+    mc = controller(
         DDR4_3200, DDR4_GEOMETRY, keep_cmd_log=True,
         page_policy=page_policy,
     )
@@ -48,13 +51,15 @@ def _run(schedule, page_policy: str):
 
 @pytest.mark.parametrize("page_policy", ["open", "closed"])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_cache_off_is_byte_identical(seed, page_policy, monkeypatch):
+def test_cache_off_is_byte_identical(seed, page_policy):
     schedule = _schedule(seed)
     cached_mc, cached_done, cached_finish = _run(schedule, page_policy)
-
-    monkeypatch.setenv(NO_EVENT_CACHE_ENV, "1")
-    plain_mc, plain_done, plain_finish = _run(schedule, page_policy)
-    assert plain_mc._cache_enabled is False  # the switch actually took
+    plain_mc, plain_done, plain_finish = _run(
+        schedule, page_policy, FullScanController
+    )
+    # The oracle really ran without the index.
+    assert cached_mc.sched_banks_rederived > 0
+    assert plain_mc.sched_banks_rederived == 0
 
     # The full command log — (cycle, command, rank, group, bank, row) —
     # must match entry for entry, and so must every data-bus burst.
@@ -76,7 +81,6 @@ def test_cache_off_is_byte_identical(seed, page_policy, monkeypatch):
 def test_cache_is_actually_exercised():
     """Guard against the ready-time index silently never engaging."""
     mc = ChannelController(DDR4_3200, DDR4_GEOMETRY)
-    assert mc._cache_enabled is True
     requests = [make_request(line) for line in range(4)]
     for req in requests:
         mc.enqueue(req, 0)

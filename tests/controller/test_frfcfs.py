@@ -1,8 +1,8 @@
-"""Unit tests for the FR-FCFS candidate generator and picker."""
+"""Unit tests for the full-scan FR-FCFS oracle's generator and picker."""
 
 from dataclasses import replace
 
-from repro.controller import FRFCFSScheduler, MemoryRequest
+from repro.controller import MemoryRequest
 from repro.dram import (
     DDR4_3200,
     DDR4_GEOMETRY,
@@ -10,6 +10,7 @@ from repro.dram import (
     CommandType,
     DRAMChannel,
 )
+from tests.oracles.fullscan import FRFCFSScheduler
 
 MAPPER = AddressMapper(DDR4_GEOMETRY, channels=2)
 

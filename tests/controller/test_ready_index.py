@@ -3,7 +3,7 @@
 ``ChannelController._schedule_query`` reads a per-bank, per-group index
 that is only re-derived for banks marked dirty (enqueue, issue,
 refresh) and answers later-cycle repeats from stored ready times.
-``FRFCFSScheduler.candidates`` + ``pick``/``next_wakeup`` recompute
+The full-scan oracle (``tests/oracles/fullscan.py``) recomputes
 everything from the queue and the channel.  These tests hold the two to
 equality at every ``step`` and ``next_event`` of randomized schedules:
 DDR4 (2 groups of 4 banks) and LPDDR3 (1 group of 8), open and closed
@@ -32,6 +32,7 @@ from repro.dram import (
 from repro.system.machine import SYSTEMS
 from repro.system.simulator import simulate
 from repro.workloads.benchmarks import build_trace
+from tests.oracles.fullscan import full_scan
 
 SHAPES = {
     "ddr4": (replace(DDR4_3200, REFI=2000), DDR4_GEOMETRY),
@@ -47,11 +48,8 @@ def _pick_key(pick):
 
 
 def _assert_index_matches_scan(mc, now):
-    cands = mc._candidates(now)
-    want = (
-        _pick_key(mc.scheduler.pick(cands, now)),
-        mc.scheduler.next_wakeup(cands),
-    )
+    pick, wake = full_scan(mc, now)
+    want = (_pick_key(pick), wake)
     pick, wake = mc._schedule_query(now)
     assert (_pick_key(pick), wake) == want, f"index diverged at {now}"
 

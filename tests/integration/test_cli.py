@@ -64,6 +64,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_codec_impl_flag_is_gone(self):
+        # One codec implementation per scheme: nothing left to select.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--codec-impl", "numpy", "list"])
+        assert exit_info.value.code == 2
+
 
 class TestTrace:
     def test_trace_dump_and_audit(self, tmp_path, capsys):

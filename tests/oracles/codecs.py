@@ -1,21 +1,15 @@
-"""Pure-Python reference backends — the codec correctness oracle.
+"""Pure-Python codec oracles: the correctness reference for every codec.
 
 Every class here re-derives its code directly from the paper's prose,
-one element at a time, in plain Python: nibble pairs are classified with
-``if`` chains, MiLC rows pick candidates with ``min()``, CAFO passes
-walk 8x8 squares with nested loops.  Nothing is shared with the
-vectorised kernels in the sibling modules beyond the
-:class:`~repro.coding.base.CodingScheme` interface, which is the point:
-the hypothesis suite in ``tests/coding/test_backend_equivalence.py``
-cross-validates the two implementations bit-for-bit, so a vectorisation
-bug in a batched kernel cannot hide behind its own zero table.
-
-The backends register themselves under ``impl="reference"``; select
-them process-wide with ``REPRO_CODEC_IMPL=reference`` (or the CLI's
-``--codec-impl reference``).  They are orders of magnitude slower than
-the numpy kernels — the batched-codec benchmark gate quantifies the
-gap — but they must produce byte-identical zero tables, which is what
-keeps campaign cache entries backend-independent.
+one element at a time: nibble pairs are classified with ``if`` chains,
+MiLC rows pick candidates with ``min()``, CAFO passes walk 8x8 squares
+with nested loops.  Nothing is shared with the numpy kernels in
+``repro.coding`` beyond the :class:`~repro.coding.base.CodingScheme`
+interface, so ``tests/coding/test_backend_equivalence.py`` can hold the
+two bit-for-bit and a vectorisation bug cannot hide behind its own zero
+table.  :data:`ORACLES` has one oracle per registered codec scheme;
+:func:`oracle_line_zeros` and :func:`oracle_encode_trace` rebuild the
+production zero tables and encodings from them, layout included.
 """
 
 from __future__ import annotations
@@ -24,10 +18,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .base import CodingScheme
-from .registry import register_backend
+from repro.coding.base import CodingScheme
+from repro.coding.registry import check_lines, scheme_info
 
 __all__ = [
+    "ORACLES",
+    "oracle_encode_trace",
+    "oracle_for",
+    "oracle_line_zeros",
     "ReferenceDBI",
     "ReferenceThreeLWC",
     "ReferenceMiLC",
@@ -487,11 +485,53 @@ class ReferenceKLWC(CodingScheme):
 
 
 # ----------------------------------------------------------------------
-# Self-registration: one reference backend per registered codec scheme.
+# One oracle per registered codec scheme, and the trace-level views the
+# production pipeline offers, rebuilt from them.
 # ----------------------------------------------------------------------
-register_backend("dbi", "reference")(ReferenceDBI)
-register_backend("3lwc", "reference")(ReferenceThreeLWC)
-register_backend("milc", "reference")(ReferenceMiLC)
-register_backend("cafo2", "reference")(lambda: ReferenceCAFO(2))
-register_backend("cafo4", "reference")(lambda: ReferenceCAFO(4))
-register_backend("lwc12", "reference")(lambda: ReferenceKLWC(8, 12, 3))
+ORACLES = {
+    "dbi": ReferenceDBI,
+    "3lwc": ReferenceThreeLWC,
+    "milc": ReferenceMiLC,
+    "cafo2": lambda: ReferenceCAFO(2),
+    "cafo4": lambda: ReferenceCAFO(4),
+    "lwc12": lambda: ReferenceKLWC(8, 12, 3),
+}
+
+
+def oracle_for(scheme: str) -> CodingScheme:
+    """A fresh oracle instance for a registered codec scheme."""
+    return ORACLES[scheme]()
+
+
+def _beat_layout(lines) -> np.ndarray:
+    """Figure 12(a) bus-beat order, byte by byte.
+
+    Beat ``p`` carries byte ``p`` of each of the line's eight 64-bit
+    words, so arranged byte ``8 * p + w`` is line byte ``8 * w + p``.
+    """
+    out = [
+        [row[8 * w + p] for p in range(8) for w in range(8)]
+        for row in check_lines(lines).tolist()
+    ]
+    return np.array(out, dtype=np.uint8).reshape(-1, 64)
+
+
+def _arranged(scheme: str, lines) -> np.ndarray:
+    beat = scheme_info(scheme).layout == "beat"
+    return _beat_layout(lines) if beat else check_lines(lines)
+
+
+def oracle_line_zeros(scheme: str, lines) -> np.ndarray:
+    """Zeros on the bus per line under ``scheme`` (``raw``: uncoded)."""
+    if scheme == "raw":
+        out = [
+            sum(8 - _POPCOUNT[byte] for byte in row)
+            for row in check_lines(lines).tolist()
+        ]
+        return np.array(out, dtype=np.int64)
+    return oracle_for(scheme).line_zeros(_arranged(scheme, lines))
+
+
+def oracle_encode_trace(scheme: str, lines) -> np.ndarray:
+    """The oracle counterpart of ``repro.coding.pipeline.encode_trace``."""
+    return oracle_for(scheme).encode_lines(_arranged(scheme, lines))

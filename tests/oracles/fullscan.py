@@ -1,40 +1,30 @@
-"""FR-FCFS command scheduling (Rixner et al., ISCA 2000; Table 2).
+"""Full-scan FR-FCFS scheduling: the oracle behind the ready-time index.
 
-First-Ready, First-Come-First-Served: among commands that can issue
-*now*, column commands to already-open rows (row hits) win, oldest
-first; otherwise the scheduler works on the oldest request's row, via
-ACTIVATE when the bank is closed or PRECHARGE on a row conflict — but a
-conflicting row is never closed while other queued requests still hit
-it, which is what makes the policy "first-ready".
+First-Ready, First-Come-First-Served (Rixner et al., ISCA 2000; Table
+2): among commands that can issue *now*, column commands to
+already-open rows (row hits) win, oldest first; otherwise the scheduler
+works on the oldest request's row, via ACTIVATE when the bank is closed
+or PRECHARGE on a row conflict — but a conflicting row is never closed
+while other queued requests still hit it, which is what makes the
+policy "first-ready".
 
-The scheduler is a pure function of (queue contents, channel state,
-cycle): it returns a ranked candidate list plus the earliest cycle at
-which anything could issue, which the event-skipping controller engine
-uses to jump time forward.
+:class:`FRFCFSScheduler` is a pure function of (queue contents, channel
+state, cycle) that rebuilds the whole candidate list on every call.
+The production controller answers the same question from its
+incremental ready-time index (``repro.controller.readyindex``);
+:func:`full_scan` and :class:`FullScanController` are what the tests
+hold it to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.controller.controller import ChannelController
+from repro.controller.readyindex import CandidateCommand
+from repro.controller.request import MemoryRequest
+from repro.dram.channel import DRAMChannel
+from repro.dram.commands import CommandType
 
-from ..dram.channel import DRAMChannel
-from ..dram.commands import CommandType
-from .request import MemoryRequest
-
-__all__ = ["CandidateCommand", "FRFCFSScheduler"]
-
-
-@dataclass(slots=True)
-class CandidateCommand:
-    """One legal (or soon-legal) command the scheduler is considering."""
-
-    cmd: CommandType
-    rank: int
-    group: int
-    bank: int
-    row: int
-    earliest: int
-    request: MemoryRequest | None  # None for PRE on behalf of a conflict
+__all__ = ["FRFCFSScheduler", "FullScanController", "full_scan"]
 
 
 class FRFCFSScheduler:
@@ -141,3 +131,29 @@ class FRFCFSScheduler:
         if not cands:
             return None
         return min(c.earliest for c in cands)
+
+
+def full_scan(mc: ChannelController, now: int):
+    """``(pick, wake)`` for ``mc`` at ``now``, recomputed from scratch.
+
+    Syncs the write-drain state first, exactly as the production
+    ``_schedule_query`` does, then scans the active queue oldest-first.
+    """
+    mc._sync_drain(now)
+    queue = mc.write_queue if mc.draining_now else mc.read_queue
+    scheduler = FRFCFSScheduler(mc.channel)
+    cands = scheduler.candidates(queue.oldest_first(), now)
+    return scheduler.pick(cands, now), scheduler.next_wakeup(cands)
+
+
+class FullScanController(ChannelController):
+    """A controller with every scheduling-loop cache taken out.
+
+    Each ``step``/``next_event`` query is a :func:`full_scan`, and the
+    wake-time cache never answers: ``_wake_version`` reads -1, which no
+    state version ever equals.  Tests run it beside the production
+    controller and require byte-identical command logs.
+    """
+
+    _wake_version = property(lambda self: -1, lambda self, value: None)
+    _schedule_query = full_scan

@@ -1,9 +1,9 @@
 """The event-heap driver must be invisible in every observable.
 
-``REPRO_NO_EVENT_CACHE=1`` runs the lockstep oracle: the original
+The lockstep oracle (``tests/oracles/lockstep.py``) runs the original
 advance-everything loop with the controller recomputing its FR-FCFS
-candidates from scratch each call.  The default path runs the
-cross-channel event heap over the incremental candidate cache.  These
+candidates from scratch each call.  ``simulate`` runs the
+cross-channel event heap over the incremental ready-time index.  These
 tests randomize the workload, the system shape (channels, ranks, page
 policy, policy family, seed) and hold the pair to *byte identity*:
 same command log, same data-bus transactions, same cycle counts, same
@@ -16,24 +16,22 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit import ProtocolAuditor
-from repro.controller import NO_EVENT_CACHE_ENV
+from repro.controller import ChannelController
 from repro.system.machine import SYSTEMS
 from repro.system.simulator import simulate
 from repro.workloads.benchmarks import build_trace
+from tests.oracles.fullscan import FullScanController
+from tests.oracles.lockstep import simulate_lockstep
 
 
-def _simulate(name, config, seed, accesses, no_cache, monkeypatch):
-    if no_cache:
-        monkeypatch.setenv(NO_EVENT_CACHE_ENV, "1")
-    else:
-        monkeypatch.delenv(NO_EVENT_CACHE_ENV, raising=False)
+def _simulate(name, config, seed, accesses, oracle):
     trace = build_trace(name, config, seed=seed, accesses_per_core=accesses)
-    return simulate(trace, config, record_commands=True)
+    run = simulate_lockstep if oracle else simulate
+    return run(trace, config, record_commands=True)
 
 
 def _assert_byte_identical(cached, oracle, config):
@@ -60,40 +58,30 @@ GRID = dict(
 
 
 class TestEventHeapEquivalence:
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=10, deadline=None)
     @given(**GRID)
     def test_byte_identical_on_random_shapes(
-        self, monkeypatch, bench, channels, page_policy, seed, accesses
+        self, bench, channels, page_policy, seed, accesses
     ):
         config = replace(
             SYSTEMS["ddr4-server"], channels=channels,
             page_policy=page_policy,
         )
-        cached = _simulate(bench, config, seed, accesses, False, monkeypatch)
-        oracle = _simulate(bench, config, seed, accesses, True, monkeypatch)
+        cached = _simulate(bench, config, seed, accesses, False)
+        oracle = _simulate(bench, config, seed, accesses, True)
         _assert_byte_identical(cached, oracle, config)
 
-    @settings(
-        max_examples=4,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_byte_identical_on_mobile_machine(self, monkeypatch, seed):
+    def test_byte_identical_on_mobile_machine(self, seed):
         config = SYSTEMS["lpddr3-mobile"]
-        cached = _simulate("GUPS", config, seed, 32, False, monkeypatch)
-        oracle = _simulate("GUPS", config, seed, 32, True, monkeypatch)
+        cached = _simulate("GUPS", config, seed, 32, False)
+        oracle = _simulate("GUPS", config, seed, 32, True)
         _assert_byte_identical(cached, oracle, config)
 
 
 class TestHeapCounters:
-    def test_event_queue_is_exercised_and_laziness_observable(
-        self, monkeypatch
-    ):
+    def test_event_queue_is_exercised_and_laziness_observable(self):
         """A real run pops events and discards some stale entries.
 
         Superseded controller wakes stay in the heap until popped;
@@ -101,7 +89,6 @@ class TestHeapCounters:
         heap is the driver) and discard (invalidation is lazy, the
         design the ``pops``/``stale`` probe pair exists to watch).
         """
-        monkeypatch.delenv(NO_EVENT_CACHE_ENV, raising=False)
         config = SYSTEMS["ddr4-server"]
         trace = build_trace("GUPS", config, seed=7, accesses_per_core=120)
         result = simulate(trace, config)
@@ -112,10 +99,20 @@ class TestHeapCounters:
             < result.stats["event_queue_pops"]
         )
 
-    def test_lockstep_oracle_reports_zero_heap_activity(self, monkeypatch):
-        monkeypatch.setenv(NO_EVENT_CACHE_ENV, "1")
+    def test_lockstep_oracle_reports_zero_heap_activity(self):
         config = SYSTEMS["ddr4-server"]
         trace = build_trace("GUPS", config, seed=7, accesses_per_core=24)
-        result = simulate(trace, config)
+        result = simulate_lockstep(trace, config)
         assert result.stats["event_queue_pops"] == 0
         assert result.stats["event_queue_stale"] == 0
+        # The full-scan controllers really ran: no index was consulted.
+        assert all(
+            type(mc) is FullScanController for mc in result.controllers
+        )
+        assert result.stats["sched_banks_rederived"] == 0
+        # Outside the oracle, simulate is the production pair again.
+        result = simulate(trace, config)
+        assert all(
+            type(mc) is ChannelController for mc in result.controllers
+        )
+        assert result.stats["event_queue_pops"] > 0

@@ -1,6 +1,7 @@
 """The registry boundary holds: nothing outside repro.coding touches
-the legacy BURST_FORMATS/_SCHEMES views (see tools/lint_boundaries.py,
-which CI runs as a standalone step)."""
+the legacy BURST_FORMATS/_SCHEMES views, and nothing in src/repro
+imports the test oracles (see tools/lint_boundaries.py, which CI runs
+as a standalone step)."""
 
 import importlib.util
 import sys
@@ -107,13 +108,12 @@ class TestEventCoreBoundaries:
         lint = _load_linter()
         bad = (
             "mc = build()\n"
-            "cands = mc._candidates(now)\n"
             "pick, wake = mc._schedule_query(now)\n"
+            "from repro.controller.controller import _schedule_query\n"
         )
         problems = lint.check_source(bad, "fake.py")
         assert len(problems) == 2
-        assert "_candidates" in problems[0]
-        assert "_schedule_query" in problems[1]
+        assert all("_schedule_query" in p for p in problems)
 
     def test_catches_ready_index_internals(self):
         lint = _load_linter()
@@ -137,5 +137,42 @@ class TestEventCoreBoundaries:
             "mc.sync(now)\n"
             "issued = mc.step(now)\n"
             "wake = mc.next_event(now)\n"
+        )
+        assert lint.check_source(good, "fake.py") == []
+
+
+class TestOraclesStayInTests:
+    """No module under src/repro imports the tests package."""
+
+    def test_catches_every_spelling(self):
+        lint = _load_linter()
+        for bad in (
+            "from tests.oracles.codecs import ReferenceDBI\n",
+            "from tests.oracles import fullscan\n",
+            "from tests import oracles\n",
+            "import tests.oracles.lockstep\n",
+            "import tests\n",
+        ):
+            problems = lint.check_source(bad, "fake.py")
+            assert len(problems) == 1, bad
+            assert "tests" in problems[0]
+
+    def test_applies_inside_the_coding_package_too(self, tmp_path):
+        lint = _load_linter()
+        coding = tmp_path / "coding"
+        coding.mkdir()
+        (coding / "fake.py").write_text(
+            "from tests.oracles.codecs import ORACLES\n", encoding="utf-8"
+        )
+        problems = lint.check_tree(tmp_path)
+        assert len(problems) == 1
+        assert "tests.oracles.codecs" in problems[0]
+
+    def test_relative_and_lookalike_imports_are_fine(self):
+        lint = _load_linter()
+        good = (
+            "from .tests import helper\n"
+            "from repro.audit import tests_of_timing\n"
+            "import testsuite\n"
         )
         assert lint.check_source(good, "fake.py") == []

@@ -14,8 +14,7 @@ every module under ``src/repro`` outside ``repro/coding`` and flags:
 * importing a concrete *registered* codec class (``DBICode``,
   ``MiLCCode``, ...) from any coding module — consumers must resolve
   codecs through the registry (``codec_for``/``scheme_info``) so that
-  backend selection (``REPRO_CODEC_IMPL``) and singleton caching are
-  never bypassed.
+  singleton caching is never bypassed.
 
 Unregistered analysis/helper classes (``OptimalStaticLWC``,
 ``BusInvertCode``, ``TransitionSignaling``) stay importable: they have
@@ -31,11 +30,14 @@ DESIGN.md, "Event core"):
 * ``repro.system.events`` (the cross-channel ``EventQueue``) is
   internal to ``repro.system`` — no module outside that package may
   import it, by any spelling;
-* the controller's scheduling internals (``_candidates``,
-  ``_schedule_query`` and the ready-time index: ``_ready_index``,
-  ``_rederive``, ``_answer``, ``_view_dir``) are internal to
-  ``repro.controller`` — outside it, only the public ``step`` /
-  ``next_event`` / ``sync`` surface exists.
+* the controller's scheduling internals (``_schedule_query`` and the
+  ready-time index: ``_ready_index``, ``_rederive``, ``_answer``,
+  ``_view_dir``) are internal to ``repro.controller`` — outside it,
+  only the public ``step`` / ``next_event`` / ``sync`` surface exists.
+
+And one rule for every module, ``repro.coding`` included: nothing under
+``src/repro`` imports the ``tests`` package.  The oracles in
+``tests/oracles`` are test references, never a production path.
 
 Run from the repository root (CI does)::
 
@@ -49,8 +51,8 @@ import sys
 from pathlib import Path
 
 LEGACY_NAMES = frozenset({"BURST_FORMATS", "_SCHEMES"})
-# Concrete classes with registry entries (including reference backends);
-# everything outside repro.coding must reach them via codec_for().
+# Concrete classes with registry entries; everything outside
+# repro.coding must reach them via codec_for().
 CODEC_CLASS_NAMES = frozenset({
     "DBICode",
     "MiLCCode",
@@ -58,19 +60,12 @@ CODEC_CLASS_NAMES = frozenset({
     "CAFOCode",
     "KLimitedWeightCode",
     "PerfectThreeLWC",
-    "ReferenceDBI",
-    "ReferenceThreeLWC",
-    "ReferenceMiLC",
-    "ReferenceCAFO",
-    "ReferenceKLWC",
 })
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 EXEMPT = "coding"  # the package that owns (and may use) the legacy views
-# Controller scheduling internals: the full-scan oracle hook, the
-# (pick, wake) query and the ready-time index behind it.  Only
-# repro.controller may touch them.
+# Controller scheduling internals: the (pick, wake) query and the
+# ready-time index behind it.  Only repro.controller may touch them.
 CONTROLLER_INTERNALS = frozenset({
-    "_candidates",
     "_schedule_query",
     "_ready_index",
     "_rederive",
@@ -97,6 +92,25 @@ def _is_coding_module(module: str) -> bool:
     return "coding" in parts
 
 
+def check_test_imports(source: str, filename: str) -> list[str]:
+    """Violations of the one rule every module obeys: never import tests."""
+    problems = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] == "tests":
+                problems.append(
+                    f"{filename}:{node.lineno}: imports {module!r}; the "
+                    "test oracles never enter the production path"
+                )
+    return problems
+
+
 def check_source(source: str, filename: str, package: str = "") -> list[str]:
     """Return ``file:line: message`` strings for every violation.
 
@@ -104,7 +118,7 @@ def check_source(source: str, filename: str, package: str = "") -> list[str]:
     (e.g. ``"system"``), used to exempt a boundary's owning package
     from its own rule.
     """
-    problems = []
+    problems = check_test_imports(source, filename)
     tree = ast.parse(source, filename=filename)
     coding_aliases = set()
     for node in ast.walk(tree):
@@ -186,14 +200,12 @@ def check_tree(root: Path = SRC_ROOT) -> list[str]:
     problems = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root)
+        source = path.read_text(encoding="utf-8")
         if rel.parts and rel.parts[0] == EXEMPT:
+            problems.extend(check_test_imports(source, str(path)))
             continue
         package = rel.parts[0] if len(rel.parts) > 1 else ""
-        problems.extend(
-            check_source(
-                path.read_text(encoding="utf-8"), str(path), package
-            )
-        )
+        problems.extend(check_source(source, str(path), package))
     return problems
 
 
